@@ -21,7 +21,7 @@ fn bench_generate_block(c: &mut Criterion) {
                 let mut node = LedgerNode::new(NodeId(0), neighbors, cfg);
                 b.iter(|| {
                     let payload = vec![slot as u8; 64];
-                    let block = node.generate_block(cfg, slot, black_box(payload)).unwrap();
+                    let (block, _) = node.generate_block(cfg, slot, black_box(payload)).unwrap();
                     slot += 1;
                     black_box(block.id)
                 });

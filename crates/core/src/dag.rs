@@ -206,26 +206,17 @@ mod tests {
             .collect();
 
         // Slot 0: D (index 3) generates D1 and sends digest to B, C.
-        let d1 = {
-            let b = nodes[3].generate_block(&cfg, 0, vec![0xd1]).unwrap();
-            b.header_digest()
-        };
+        let d1 = nodes[3].generate_block(&cfg, 0, vec![0xd1]).unwrap().1;
         nodes[1].receive_digest(NodeId(3), d1);
         nodes[2].receive_digest(NodeId(3), d1);
 
         // C generates C1 (contains H(D1)), sends digest to B, D.
-        let c1 = {
-            let b = nodes[2].generate_block(&cfg, 1, vec![0xc1]).unwrap();
-            b.header_digest()
-        };
+        let c1 = nodes[2].generate_block(&cfg, 1, vec![0xc1]).unwrap().1;
         nodes[1].receive_digest(NodeId(2), c1);
         nodes[3].receive_digest(NodeId(2), c1);
 
         // A generates A1, digest to B.
-        let a1 = {
-            let b = nodes[0].generate_block(&cfg, 2, vec![0xa1]).unwrap();
-            b.header_digest()
-        };
+        let a1 = nodes[0].generate_block(&cfg, 2, vec![0xa1]).unwrap().1;
         nodes[1].receive_digest(NodeId(0), a1);
 
         // B generates B1 containing H(A1), H(C1), H(D1).

@@ -23,7 +23,8 @@
 //!    chains are read through shared references, each validator mutates
 //!    only its own trust cache/blacklist (taken out of the array for the
 //!    phase), and traffic lands in per-shard accounting deltas merged in
-//!    shard order.
+//!    shard order. Targets come from candidate counts taken once per slot
+//!    (one metadata pass per chain), not from a per-validator scan.
 //! 5. **Commit** — backends sync per [`SyncPolicy`]; with the group-commit
 //!    shard log in `tldag-storage` this is one fsync per shard per slot.
 //!
@@ -661,7 +662,7 @@ impl TldagNetwork {
                     }
                     let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
                     let payload = sensor_payload(&mut rng, id, slot);
-                    let digest = node.generate_block(cfg, slot, payload)?.header_digest();
+                    let (_, digest) = node.generate_block(cfg, slot, payload)?;
                     if per_append_sync {
                         node.store_mut().sync()?;
                     }
@@ -756,6 +757,9 @@ impl TldagNetwork {
         let mut pop_attempts = 0usize;
         let mut pop_successes = 0usize;
         if !validators.is_empty() {
+            // One metadata pass per chain serves every validator's draw.
+            let candidates =
+                TargetCandidates::scan(&self.nodes, &self.departed, self.verification, slot);
             let mut states: Vec<(TrustCache, Blacklist)> = validators
                 .iter()
                 .map(|v| {
@@ -775,10 +779,9 @@ impl TldagNetwork {
                 let cfg = &self.cfg;
                 let topology = &self.topology;
                 let nodes = &self.nodes;
-                let departed = &self.departed;
                 let routes = self.routes.as_deref();
                 let links = &self.links;
-                let verification = self.verification;
+                let candidates = &candidates;
                 let validators = &validators;
                 let trace_enabled = self.trace.is_enabled();
                 run_sharded(&mut states, &v_ranges, move |range, chunk| {
@@ -791,14 +794,8 @@ impl TldagNetwork {
                     for (offset, (trust_cache, blacklist)) in chunk.iter_mut().enumerate() {
                         let validator = validators[range.start + offset];
                         let mut target_rng = derived_rng(seed, stream::TARGET, slot, validator);
-                        let Some(target) = choose_target_from(
-                            nodes,
-                            departed,
-                            verification,
-                            slot,
-                            validator,
-                            &mut target_rng,
-                        ) else {
+                        let Some(target) = candidates.choose(nodes, validator, &mut target_rng)
+                        else {
                             continue;
                         };
                         out.attempts += 1;
@@ -936,12 +933,13 @@ impl TldagNetwork {
     /// workload policy: a uniformly random qualifying block owned by another
     /// node. Draws from the network's sequential stream; the slot loop uses
     /// per-validator derived streams instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `validator` is not a node of the network.
     pub fn choose_target(&mut self, validator: NodeId) -> Option<BlockId> {
-        choose_target_from(
+        TargetCandidates::scan(&self.nodes, &self.departed, self.verification, self.slot).choose(
             &self.nodes,
-            &self.departed,
-            self.verification,
-            self.slot,
             validator,
             &mut self.rng,
         )
@@ -1147,37 +1145,73 @@ restarting would fork its chain"
     }
 }
 
-/// Chooses a verification target for `validator`: a uniformly random
-/// qualifying block owned by another live node. Free-standing so the
-/// shard-parallel verify phase can run it with per-validator streams while
-/// the public [`TldagNetwork::choose_target`] keeps its sequential contract.
-fn choose_target_from(
-    nodes: &[LedgerNode],
-    departed: &[bool],
-    verification: VerificationWorkload,
-    now: Slot,
-    validator: NodeId,
-    rng: &mut DetRng,
-) -> Option<BlockId> {
-    if matches!(verification, VerificationWorkload::Disabled) {
-        // Skip the candidate scan entirely — with a disk backend it would
-        // decode every record of every chain just to discard it.
-        return None;
-    }
-    let mut candidates: Vec<BlockId> = Vec::new();
-    for node in nodes {
-        if node.id() == validator || departed[node.id().index()] {
-            continue;
-        }
-        // Metadata-only scan: never decodes bodies, so disk-backed stores
-        // answer from their index.
-        for (id, time) in node.store().iter_meta() {
-            if verification.qualifies(time, now) {
-                candidates.push(id);
+/// The verification-target candidates of one slot: per chain, how many of
+/// its blocks qualify under the workload. Built once per slot and shared by
+/// every validator's draw.
+///
+/// Chains are time-ordered and both qualifying rules bound the generation
+/// slot from above, so a chain's qualifying blocks are a prefix of its
+/// `iter_meta()`; the counts are that prefix's length. The candidate list
+/// of the original scan — every qualifying block of every other live chain,
+/// in node order then chain order — is the concatenation of those
+/// prefixes minus the validator's own, so one index drawn over the counts
+/// picks exactly the block the scan would have picked.
+struct TargetCandidates {
+    /// `bounds[i]..bounds[i + 1]`: the positions of chain `i`'s qualifying
+    /// blocks in the scan order (empty for departed chains).
+    bounds: Vec<usize>,
+}
+
+impl TargetCandidates {
+    /// Counts every live chain's qualifying prefix at slot `now`.
+    fn scan(
+        nodes: &[LedgerNode],
+        departed: &[bool],
+        verification: VerificationWorkload,
+        now: Slot,
+    ) -> Self {
+        let mut bounds = Vec::with_capacity(nodes.len() + 1);
+        bounds.push(0);
+        let mut total = 0usize;
+        for node in nodes {
+            // `Disabled` qualifies nothing: skip the (possibly disk-index)
+            // metadata walk entirely.
+            if !matches!(verification, VerificationWorkload::Disabled)
+                && !departed[node.id().index()]
+            {
+                total += node
+                    .store()
+                    .iter_meta()
+                    .take_while(|&(_, time)| verification.qualifies(time, now))
+                    .count();
             }
+            bounds.push(total);
         }
+        TargetCandidates { bounds }
     }
-    rng.choose(&candidates).copied()
+
+    fn span(&self, i: usize) -> Range<usize> {
+        self.bounds[i]..self.bounds[i + 1]
+    }
+
+    /// Draws a uniformly random qualifying block owned by a live node other
+    /// than `validator`. Draws exactly one `rng.index` when a candidate
+    /// exists and leaves `rng` untouched otherwise.
+    fn choose(&self, nodes: &[LedgerNode], validator: NodeId, rng: &mut DetRng) -> Option<BlockId> {
+        let own = self.span(validator.index());
+        let total = self.bounds[nodes.len()] - own.len();
+        if total == 0 {
+            return None;
+        }
+        // Index into the scan order with the validator's chain removed.
+        let mut pick = rng.index(total);
+        if pick >= own.start {
+            pick += own.len();
+        }
+        let owner = self.bounds.partition_point(|&b| b <= pick) - 1;
+        let k = pick - self.span(owner).start;
+        nodes[owner].store().iter_meta().nth(k).map(|(id, _)| id)
+    }
 }
 
 /// Runs one PoP verification with every dependency passed explicitly, so
@@ -1222,7 +1256,9 @@ fn execute_pop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::DataBlock;
     use crate::dag::LogicalDag;
+    use crate::store::{BlockBackend, BlockStore};
     use tldag_sim::topology::TopologyConfig;
 
     fn small_net(seed: u64, nodes: usize, gamma: usize) -> TldagNetwork {
@@ -1476,5 +1512,169 @@ mod tests {
             )
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// The original chooser, kept as the reference: collect every
+    /// qualifying block of every other live chain, then draw one.
+    fn full_scan_choose(
+        nodes: &[LedgerNode],
+        departed: &[bool],
+        verification: VerificationWorkload,
+        now: Slot,
+        validator: NodeId,
+        rng: &mut DetRng,
+    ) -> Option<BlockId> {
+        let mut candidates: Vec<BlockId> = Vec::new();
+        for node in nodes {
+            if node.id() == validator || departed[node.id().index()] {
+                continue;
+            }
+            for (id, time) in node.store().iter_meta() {
+                if verification.qualifies(time, now) {
+                    candidates.push(id);
+                }
+            }
+        }
+        rng.choose(&candidates).copied()
+    }
+
+    /// A memory chain that has compacted all but its newest `keep` blocks,
+    /// the way a retention budget prunes a durable log's prefix.
+    #[derive(Debug)]
+    struct PrunedStore {
+        inner: BlockStore,
+        keep: usize,
+    }
+
+    impl PrunedStore {
+        fn floor(&self) -> u32 {
+            self.inner.len().saturating_sub(self.keep) as u32
+        }
+    }
+
+    impl BlockBackend for PrunedStore {
+        fn append(&mut self, block: DataBlock) -> Result<(), TldagError> {
+            self.inner.append(block)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn get(&self, seq: u32) -> Option<DataBlock> {
+            (seq >= self.floor()).then(|| self.inner.get(seq)).flatten()
+        }
+        fn latest_digest(&self) -> Option<Digest> {
+            self.inner.latest_digest()
+        }
+        fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {
+            self.inner
+                .by_header_digest(digest)
+                .filter(|b| b.id.seq >= self.floor())
+        }
+        fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
+            self.children_of(target).into_iter().next()
+        }
+        fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
+            let floor = self.floor();
+            let mut children = self.inner.children_of(target);
+            children.retain(|b| b.id.seq >= floor);
+            children
+        }
+        fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
+            Box::new(self.inner.iter().skip(self.floor() as usize))
+        }
+        fn iter_meta(&self) -> Box<dyn Iterator<Item = (BlockId, u64)> + '_> {
+            Box::new(self.inner.iter_meta().skip(self.floor() as usize))
+        }
+        fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
+            self.inner.logical_bits(cfg)
+        }
+        fn resident_bytes(&self) -> usize {
+            self.inner.resident_bytes()
+        }
+        fn pruned_floor(&self) -> u32 {
+            self.floor()
+        }
+    }
+
+    /// Even nodes keep only their newest five blocks.
+    #[derive(Debug)]
+    struct PruningFactory;
+
+    impl BackendFactory for PruningFactory {
+        fn create(&mut self, node: NodeId) -> Box<dyn BlockBackend> {
+            if node.0.is_multiple_of(2) {
+                Box::new(PrunedStore {
+                    inner: BlockStore::new(),
+                    keep: 5,
+                })
+            } else {
+                Box::new(BlockStore::new())
+            }
+        }
+        fn reopen(&mut self, node: NodeId) -> Result<Box<dyn BlockBackend>, TldagError> {
+            Ok(self.create(node))
+        }
+    }
+
+    #[test]
+    fn per_slot_chooser_matches_full_scan() {
+        let workloads = [
+            VerificationWorkload::RandomPast { min_age_slots: 3 },
+            VerificationWorkload::RandomPast { min_age_slots: 0 },
+            VerificationWorkload::FirstEra { era_slots: 4 },
+            VerificationWorkload::FirstEra { era_slots: 9 },
+            VerificationWorkload::Disabled,
+        ];
+        for (w, &workload) in workloads.iter().enumerate() {
+            let mut rng = DetRng::seed_from(77 + w as u64);
+            let topo = Topology::random_connected(&TopologyConfig::small(10), &mut rng);
+            let cfg = ProtocolConfig::test_default().with_gamma(2);
+            let schedule = GenerationSchedule::uniform(topo.len());
+            let mut net =
+                TldagNetwork::with_factory(cfg, topo, schedule, 5, Box::new(PruningFactory));
+            net.set_verification_workload(workload);
+            let mut compared = 0usize;
+            for slot in 0..14u64 {
+                if slot == 6 {
+                    net.node_leaves(NodeId(3));
+                }
+                if slot == 9 {
+                    net.node_leaves(NodeId(8));
+                }
+                let now = net.slot();
+                let candidates = TargetCandidates::scan(&net.nodes, &net.departed, workload, now);
+                for v in 0..net.nodes.len() as u32 {
+                    let validator = NodeId(v);
+                    for stream in 0..4u64 {
+                        let mut fast_rng = derived_rng(stream, stream::TARGET, slot, validator);
+                        let mut slow_rng = derived_rng(stream, stream::TARGET, slot, validator);
+                        let fast = candidates.choose(&net.nodes, validator, &mut fast_rng);
+                        let slow = full_scan_choose(
+                            &net.nodes,
+                            &net.departed,
+                            workload,
+                            now,
+                            validator,
+                            &mut slow_rng,
+                        );
+                        assert_eq!(fast, slow, "{workload:?} slot {slot} validator {v}");
+                        assert_eq!(
+                            fast_rng.next_u64(),
+                            slow_rng.next_u64(),
+                            "same number of draws"
+                        );
+                        compared += usize::from(fast.is_some());
+                    }
+                }
+                net.step();
+            }
+            if workload != VerificationWorkload::Disabled {
+                assert!(compared > 0, "{workload:?}: some targets qualified");
+            }
+            assert!(
+                net.nodes.iter().any(|n| n.pruned_floor() > 0),
+                "some chains are pruned"
+            );
+        }
     }
 }

@@ -212,9 +212,10 @@ impl LedgerNode {
         self.latest_digests.get(&neighbor).copied()
     }
 
-    /// Digest of the node's own latest block.
+    /// Digest of the node's own latest block, as its backend indexed it at
+    /// append time (no block is decoded or re-hashed).
     pub fn own_latest_digest(&self) -> Option<Digest> {
-        self.store.latest().map(|b| b.header_digest())
+        self.store.latest_digest()
     }
 
     /// Number of blocks generated so far.
@@ -223,8 +224,10 @@ impl LedgerNode {
     }
 
     /// Generates the next data block from `payload` at `slot` (Sec. III-D)
-    /// and returns it. The caller (network layer) is responsible for
-    /// broadcasting `H(b^h)` to the neighbors.
+    /// and returns it with its header digest `H(b^h)`, which the caller
+    /// (network layer) broadcasts to the neighbors. The digest is the one
+    /// the backend computed when indexing the append, so the header is not
+    /// hashed again.
     ///
     /// The Digests field contains the latest digest from each neighbor heard
     /// so far, plus the previous own-block digest (absent for genesis).
@@ -239,7 +242,7 @@ impl LedgerNode {
         cfg: &ProtocolConfig,
         slot: Slot,
         payload: Vec<u8>,
-    ) -> Result<DataBlock, TldagError> {
+    ) -> Result<(DataBlock, Digest), TldagError> {
         let mut digests: Vec<DigestEntry> = self
             .latest_digests
             .iter()
@@ -255,7 +258,11 @@ impl LedgerNode {
         let body = BlockBody::new(payload, cfg.body_bits);
         let block = DataBlock::create(cfg, id, slot, digests, body, &self.keypair);
         self.store.append(block.clone())?;
-        Ok(block)
+        let digest = self
+            .store
+            .latest_digest()
+            .expect("the tip of a chain is never pruned");
+        Ok((block, digest))
     }
 
     /// Handles a digest received from `from`. Returns `false` when the digest
@@ -391,10 +398,21 @@ mod tests {
     fn genesis_block_has_no_digests() {
         let cfg = cfg();
         let mut node = node_with_neighbors(0, &[1, 2]);
-        let block = node.generate_block(&cfg, 0, vec![1, 2, 3]).unwrap();
+        let (block, _) = node.generate_block(&cfg, 0, vec![1, 2, 3]).unwrap();
         assert_eq!(block.id, BlockId::genesis(NodeId(0)));
         assert!(block.header.digests.is_empty());
         assert_eq!(node.chain_len(), 1);
+    }
+
+    #[test]
+    fn generated_digest_is_the_header_digest() {
+        let cfg = cfg().with_difficulty(4);
+        let mut node = node_with_neighbors(0, &[1]);
+        for slot in 0..3 {
+            let (block, digest) = node.generate_block(&cfg, slot, vec![slot as u8]).unwrap();
+            assert_eq!(digest, block.header_digest());
+            assert_eq!(node.own_latest_digest(), Some(digest));
+        }
     }
 
     #[test]
@@ -406,7 +424,7 @@ mod tests {
         let neighbor_digest = Digest::from_bytes([7; 32]);
         assert!(node.receive_digest(NodeId(1), neighbor_digest));
 
-        let block = node.generate_block(&cfg, 1, vec![1]).unwrap();
+        let (block, _) = node.generate_block(&cfg, 1, vec![1]).unwrap();
         assert_eq!(block.header.digest_entries(), 2);
         assert_eq!(block.header.digest_of(NodeId(0)), Some(own_digest));
         assert_eq!(block.header.digest_of(NodeId(1)), Some(neighbor_digest));
@@ -429,7 +447,7 @@ mod tests {
         node.receive_digest(NodeId(1), d2);
         assert_eq!(node.latest_digest_from(NodeId(1)), Some(d2));
         // Only the latest appears in a new block (A_i semantics).
-        let block = node.generate_block(&cfg, 1, vec![]).unwrap();
+        let (block, _) = node.generate_block(&cfg, 1, vec![]).unwrap();
         assert_eq!(block.header.digest_of(NodeId(1)), Some(d2));
     }
 

@@ -87,18 +87,20 @@ pub fn select_next(
     // Case 2: all neighbors already in R_i — any choice has the same effect.
     let pool: &[NodeId] = if fresh.is_empty() { candidates } else { &fresh };
 
-    // Z = argmin over the admissible pool (lines 1-4).
-    let mut best = weight(topology, pool[0], ri);
-    for &c in &pool[1..] {
-        let w = weight(topology, c, ri);
+    // Z = argmin over the admissible pool (lines 1-4), each weight
+    // computed once.
+    let weighted: Vec<(NodeId, (usize, usize))> =
+        pool.iter().map(|&c| (c, weight(topology, c, ri))).collect();
+    let mut best = weighted[0].1;
+    for &(_, w) in &weighted[1..] {
         if less(w, best) {
             best = w;
         }
     }
-    let z: Vec<NodeId> = pool
+    let z: Vec<NodeId> = weighted
         .iter()
-        .copied()
-        .filter(|&c| equal(weight(topology, c, ri), best))
+        .filter(|&&(_, w)| equal(w, best))
+        .map(|&(c, _)| c)
         .collect();
     if z.len() == 1 {
         return Some(z[0]); // lines 5-7
@@ -199,6 +201,76 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// The original two-pass selector (every weight computed twice), kept
+    /// as the reference for [`select_next`].
+    fn select_next_two_pass(
+        topology: &Topology,
+        candidates: &[NodeId],
+        ri: &HashSet<NodeId>,
+        rng: &mut DetRng,
+    ) -> Option<NodeId> {
+        if candidates.is_empty() {
+            return None;
+        }
+        let fresh: Vec<NodeId> = candidates
+            .iter()
+            .copied()
+            .filter(|c| !ri.contains(c))
+            .collect();
+        let pool: &[NodeId] = if fresh.is_empty() { candidates } else { &fresh };
+        let mut best = weight(topology, pool[0], ri);
+        for &c in &pool[1..] {
+            let w = weight(topology, c, ri);
+            if less(w, best) {
+                best = w;
+            }
+        }
+        let z: Vec<NodeId> = pool
+            .iter()
+            .copied()
+            .filter(|&c| equal(weight(topology, c, ri), best))
+            .collect();
+        if z.len() == 1 {
+            return Some(z[0]);
+        }
+        rng.choose(&z).copied()
+    }
+
+    #[test]
+    fn single_pass_matches_two_pass_reference() {
+        let mut gen = DetRng::seed_from(0x5eed);
+        let mut draws = 0usize;
+        for case in 0..300u64 {
+            let n = 3 + gen.index(30);
+            let mut edges = Vec::new();
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    if gen.index(4) == 0 {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let topo = Topology::from_edges(n, &edges);
+            let ri: HashSet<NodeId> = (0..n as u32)
+                .filter(|_| gen.index(3) == 0)
+                .map(NodeId)
+                .collect();
+            let candidates: Vec<NodeId> = (0..n as u32)
+                .filter(|_| gen.index(2) == 0)
+                .map(NodeId)
+                .collect();
+            let mut fast_rng = DetRng::seed_from(case);
+            let mut slow_rng = DetRng::seed_from(case);
+            let fast = select_next(&topo, &candidates, &ri, &mut fast_rng);
+            let slow = select_next_two_pass(&topo, &candidates, &ri, &mut slow_rng);
+            assert_eq!(fast, slow, "case {case}");
+            let (a, b) = (fast_rng.next_u64(), slow_rng.next_u64());
+            assert_eq!(a, b, "case {case}: same RNG draws");
+            draws += usize::from(a != DetRng::seed_from(case).next_u64());
+        }
+        assert!(draws > 0, "some cases broke ties at random");
     }
 
     #[test]

@@ -140,6 +140,7 @@ impl std::str::FromStr for SyncPolicy {
 ///
 /// assert_eq!(store.len(), 1);
 /// assert_eq!(store.latest(), Some(genesis.clone()));
+/// assert_eq!(store.latest_digest(), Some(digest));
 /// assert_eq!(store.by_header_digest(&digest), Some(genesis));
 ///
 /// // Skipping a sequence number is refused.
@@ -183,6 +184,13 @@ pub trait BlockBackend: fmt::Debug + Send + Sync {
             0 => None,
             n => self.get((n - 1) as u32),
         }
+    }
+
+    /// Header digest of the most recent block — the own-chain link the next
+    /// generated block carries. Backends that index digests at append time
+    /// override this to answer without decoding or re-hashing the block.
+    fn latest_digest(&self) -> Option<Digest> {
+        self.latest().map(|b| b.header_digest())
     }
 
     /// Looks a block up by its header digest.
@@ -339,6 +347,8 @@ pub struct BlockStore {
     /// Contained digest → seqs of blocks whose Digests field includes it
     /// (the responder's `C_{j'}(b_v)` lookup, Eq. 10).
     children_of: HashMap<Digest, Vec<u32>>,
+    /// Header digest of the last appended block.
+    latest_digest: Option<Digest>,
 }
 
 impl BlockStore {
@@ -365,11 +375,16 @@ impl BlockBackend for BlockStore {
                 .push(block.id.seq);
         }
         self.blocks.push(block);
+        self.latest_digest = Some(digest);
         Ok(())
     }
 
     fn len(&self) -> usize {
         self.blocks.len()
+    }
+
+    fn latest_digest(&self) -> Option<Digest> {
+        self.latest_digest
     }
 
     fn get(&self, seq: u32) -> Option<DataBlock> {

@@ -101,6 +101,34 @@ proptest! {
         }
     }
 
+    /// The midstate solver finds the same nonce as a naive scan over
+    /// `puzzle_digest`, including prefixes whose length leaves 50–60 bytes
+    /// in the last block, so the nonce and padding spill into a second one.
+    #[test]
+    fn puzzle_solve_matches_naive_scan(
+        blocks in 0usize..4,
+        tail in 50usize..=60,
+        fill in any::<u64>(),
+        difficulty in 1u8..=8,
+        start in 0u32..1_000,
+    ) {
+        let len = blocks * 64 + tail;
+        let mut state = fill | 1;
+        let prefix: Vec<u8> = (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        prop_assert!((50..=60).contains(&(prefix.len() % 64)));
+        let naive = (start..)
+            .find(|&n| puzzle::check(&puzzle::puzzle_digest(&prefix, n), difficulty))
+            .unwrap();
+        prop_assert_eq!(puzzle::solve(&prefix, difficulty, start), naive);
+    }
+
     /// Signature byte encoding round-trips; mutated signatures never verify.
     #[test]
     fn signature_encoding_and_mutation(

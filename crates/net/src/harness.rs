@@ -32,6 +32,7 @@ use crate::runtime::{
 };
 use crate::telemetry::{scrape_metrics, StatusRow};
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -570,7 +571,9 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // an observer tailing the harness can scrape the live endpoints
     // mid-run instead of guessing at ports.
     if !metrics_addrs.is_empty() {
-        println!(
+        // Best effort: a closed stdout must not abort the cluster run.
+        let _ = writeln!(
+            std::io::stdout(),
             "metrics endpoints: {}",
             metrics_addrs
                 .iter()

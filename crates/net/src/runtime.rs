@@ -59,6 +59,7 @@ use crate::telemetry::{render_metrics, MetricsView, NodeTelemetry, JOURNAL_CAPAC
 use crate::transport::{FaultSpec, FaultyTransport, UdpTransport};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -789,7 +790,8 @@ need --join)",
                 // address on stdout (and in the RunReport) is the only way
                 // a harness can find the listener.
                 let resolved = server.addr();
-                println!("metrics listening on {resolved}");
+                // Best effort: a closed stdout must not take the node down.
+                let _ = writeln!(std::io::stdout(), "metrics listening on {resolved}");
                 *self
                     .shared
                     .metrics_resolved
@@ -959,7 +961,7 @@ need --join)",
                 }
                 let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
                 let payload = sensor_payload(&mut rng, id, slot);
-                let block = node
+                let (block, digest) = node
                     .generate_block(&self.cfg, slot, payload)
                     .map_err(|e| format!("generation failed at slot {slot}: {e}"))?;
                 telemetry
@@ -981,7 +983,7 @@ need --join)",
                 let equivocation = (behavior_applied
                     && self.config.behavior == Behavior::Equivocate)
                     .then(|| (block.id, block.header.digests.clone()));
-                (block.header_digest(), equivocation)
+                (digest, equivocation)
             };
             let gossip_started = Instant::now();
             {
@@ -1360,7 +1362,7 @@ need --join)",
                 }
                 let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
                 let payload = sensor_payload(&mut rng, id, slot);
-                let block = node
+                let (block, digest) = node
                     .generate_block(&self.cfg, slot, payload)
                     .map_err(|e| format!("generation failed at slot {slot}: {e}"))?;
                 telemetry
@@ -1382,7 +1384,7 @@ need --join)",
                 let equivocation = (behavior_applied
                     && self.config.behavior == Behavior::Equivocate)
                     .then(|| (block.id, block.header.digests.clone()));
-                (block.header_digest(), equivocation)
+                (digest, equivocation)
             };
             let gossip_started = Instant::now();
             {

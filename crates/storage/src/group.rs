@@ -337,6 +337,11 @@ impl ShardLog {
         )
     }
 
+    /// Header digest of the tip of `node`'s chain.
+    pub fn latest_digest_of(&self, node: NodeId) -> Option<Digest> {
+        self.indexes.get(&node.0)?.latest_digest()
+    }
+
     /// Looks a block of `node`'s chain up by its header digest.
     pub fn by_header_digest_of(&self, node: NodeId, digest: &Digest) -> Option<DataBlock> {
         let seq = self.indexes.get(&node.0)?.seq_of_digest(digest)?;
@@ -435,6 +440,10 @@ impl BlockBackend for ShardedNodeStore {
 
     fn get(&self, seq: u32) -> Option<DataBlock> {
         self.log().get_of(self.node, seq)
+    }
+
+    fn latest_digest(&self) -> Option<Digest> {
+        self.log().latest_digest_of(self.node)
     }
 
     fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {

@@ -120,6 +120,14 @@ fn budgeted_log_survives_clean_reopen_byte_identically() {
     for owner in 0..3u32 {
         assert_eq!(log.pruned_floor_of(NodeId(owner)), floors[owner as usize]);
         assert_eq!(log.len_of(NodeId(owner)), 40);
+        let tip = blocks
+            .iter()
+            .rfind(|b| b.id.owner == NodeId(owner))
+            .unwrap();
+        assert_eq!(
+            log.latest_digest_of(NodeId(owner)),
+            Some(tip.header_digest())
+        );
         for b in blocks.iter().filter(|b| b.id.owner == NodeId(owner)) {
             let recovered = log.get_of(NodeId(owner), b.id.seq);
             if b.id.seq >= floors[owner as usize] {

@@ -78,6 +78,7 @@ fn clean_reopen_recovers_everything() {
     }
     let store = DurableStore::open(scratch.path(), opts()).unwrap();
     assert_eq!(store.len(), 40);
+    assert_eq!(store.latest_digest(), Some(blocks[39].header_digest()));
     for b in &blocks {
         assert_eq!(store.get(b.id.seq).as_ref(), Some(b));
         assert_eq!(store.by_header_digest(&b.header_digest()).as_ref(), Some(b));
@@ -173,6 +174,7 @@ fn corrupt_snapshot_falls_back_to_full_scan() {
 
     let store = DurableStore::open(scratch.path(), opts()).unwrap();
     assert_eq!(store.len(), 20, "full scan recovers the chain");
+    assert_eq!(store.latest_digest(), Some(blocks[19].header_digest()));
     for b in &blocks {
         assert_eq!(store.get(b.id.seq).as_ref(), Some(b));
     }
@@ -256,6 +258,7 @@ fn compaction_never_prunes_the_chain_head() {
     store.compact_to_budget(1).unwrap();
     let latest = store.latest().expect("chain head survives any budget");
     assert_eq!(latest.id.seq, 59);
+    assert_eq!(store.latest_digest(), Some(blocks[59].header_digest()));
     assert!(store.base_seq() < 60);
     assert!(store.len() == 60);
 }

@@ -31,6 +31,8 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use tldag::core::attack::Behavior;
 use tldag::core::block::BlockId;
@@ -45,6 +47,34 @@ use tldag::sim::topology::{Topology, TopologyConfig};
 use tldag::sim::trace::Trace;
 use tldag::sim::{DetRng, NodeId};
 use tldag::storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
+
+/// `println!` that survives a closed stdout (see [`emit`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` that survives a closed stdout (see [`emit`]).
+macro_rules! out_raw {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes to stdout. `println!` panics when the reader has gone away
+/// (`tldag topology | head`); a closed pipe instead ends the process with
+/// status 0, the way line-oriented Unix tools stop when nobody listens. Any
+/// other stdout failure is reported and exits with status 1.
+fn emit(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 const USAGE: &str = "\
 tldag — 2LDAG / Proof-of-Path simulator
@@ -322,13 +352,13 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
         "memory" => TldagNetwork::new(cfg, topology.clone(), schedule, seed),
         "disk" => {
             let dir = storage_dir(args)?;
-            println!("storage backend: disk ({dir}{retention_note})");
+            out!("storage backend: disk ({dir}{retention_note})");
             let factory = DiskFactory::new(dir, opts);
             TldagNetwork::with_factory(cfg, topology.clone(), schedule, seed, Box::new(factory))
         }
         "disk-sharded" => {
             let dir = storage_dir(args)?;
-            println!("storage backend: disk-sharded ({dir}, {threads} shard logs{retention_note})");
+            out!("storage backend: disk-sharded ({dir}, {threads} shard logs{retention_note})");
             let factory = ShardedDiskFactory::new(dir, threads, topology.len()).with_options(opts);
             TldagNetwork::with_factory(cfg, topology.clone(), schedule, seed, Box::new(factory))
         }
@@ -352,7 +382,7 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
             &mut DetRng::seed_from(seed ^ 0xbad),
         );
         net.apply_fault_plan(&plan, Behavior::Unresponsive);
-        println!(
+        out!(
             "malicious (unresponsive): {:?}",
             plan.malicious_ids()
                 .iter()
@@ -365,7 +395,7 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
 
 fn cmd_topology(args: &Args) -> Result<(), String> {
     let (topo, seed) = build_topology(args)?;
-    println!(
+    out!(
         "{} nodes, seed {seed}: {} links, mean degree {:.1}, diameter {:?}",
         topo.len(),
         topo.edge_count(),
@@ -375,7 +405,7 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
     for id in topo.node_ids() {
         let p = topo.position(id);
         let neighbors: Vec<String> = topo.neighbors(id).iter().map(ToString::to_string).collect();
-        println!(
+        out!(
             "  {id:>4}  ({:>7.1}, {:>7.1})  deg {:>2}  -> {}",
             p.x,
             p.y,
@@ -399,20 +429,20 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("final storage flush failed: {e}"))?;
 
     let (attempts, successes) = net.pop_counters();
-    println!("\nafter {slots} slots:");
-    println!(
+    out!("\nafter {slots} slots:");
+    out!(
         "  engine              : {} thread(s), sync policy {}",
         net.sharding().threads,
         net.sync_policy()
     );
-    println!("  blocks network-wide : {}", net.total_blocks());
-    println!("  mean node storage   : {:.3} MB", net.mean_storage_mb());
+    out!("  blocks network-wide : {}", net.total_blocks());
+    out!("  mean node storage   : {:.3} MB", net.mean_storage_mb());
     let resident: usize = net
         .topology()
         .node_ids()
         .map(|id| net.node(id).store().resident_bytes())
         .sum();
-    println!(
+    out!(
         "  resident block mem  : {:.1} KiB total across nodes",
         resident as f64 / 1024.0
     );
@@ -423,7 +453,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .max()
         .unwrap_or(0);
     if max_floor > 0 {
-        println!(
+        out!(
             "  retention           : deepest pruned floor at seq {max_floor} \
 (older blocks answer PoP with a graceful miss)"
         );
@@ -434,16 +464,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .node_ids()
             .map(|id| net.node(id).trust_cache().len())
             .sum();
-        println!("  trust caches        : persisted at commit points ({cached} headers total)");
+        out!("  trust caches        : persisted at commit points ({cached} headers total)");
     }
     let acc = net.accounting();
-    println!(
+    out!(
         "  mean node comm (tx) : {:.4} Mb DAG-construction, {:.4} Mb consensus",
         acc.mean_node_tx(TrafficClass::DagConstruction)
             .as_megabits(),
         acc.mean_node_tx(TrafficClass::Consensus).as_megabits()
     );
-    println!(
+    out!(
         "  PoP verifications   : {successes}/{attempts} succeeded ({:.1}%)",
         if attempts == 0 {
             0.0
@@ -451,8 +481,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             100.0 * successes as f64 / attempts as f64
         }
     );
+    let phases: Vec<String> = net
+        .phase_timings()
+        .snapshot()
+        .iter()
+        .map(|(phase, hist)| format!("{} {:.2}", phase.name(), hist.mean_micros() / 1e3))
+        .collect();
+    out!("  phase ms/slot (mean): {}", phases.join(", "));
     if args.switch("trace") {
-        println!("\nlast events:\n{}", net.trace().render());
+        out!("\nlast events:\n{}", net.trace().render());
     }
     Ok(())
 }
@@ -476,7 +513,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     if net.node(NodeId(owner)).store().get(seq).is_none() {
         return Err(format!("{target} does not exist (chain too short)"));
     }
-    println!(
+    out!(
         "verifying {target} from n{validator} (γ = {}, threshold {})",
         net.config().gamma,
         net.config().consensus_threshold()
@@ -484,15 +521,15 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     let report = net.run_pop(NodeId(validator), target, false);
     match &report.outcome {
         Ok(()) => {
-            println!(
+            out!(
                 "CONSENSUS: {} distinct nodes vouch, {} messages, {} on the air",
                 report.distinct_nodes,
                 report.metrics.total_messages(),
                 report.metrics.total_bits()
             );
-            println!("proof path:");
+            out!("proof path:");
             for step in &report.path {
-                println!("  {} (block {})", step.owner, step.block_id);
+                out!("  {} (block {})", step.owner, step.block_id);
             }
             Ok(())
         }
@@ -617,25 +654,35 @@ fn cmd_node(args: &Args) -> Result<(), String> {
         .run()
         .map_err(|e| format!("node failed: {e}"))?;
     let run = outcome.run;
-    println!(
+    out!(
         "node {}: {} slots, chain {} blocks, chain digest {}",
-        run.node, run.slots, run.chain_len, run.chain_digest
+        run.node,
+        run.slots,
+        run.chain_len,
+        run.chain_digest
     );
     if run.catch_up_ms > 0 {
-        println!("  join    : caught up in {} ms", run.catch_up_ms);
+        out!("  join    : caught up in {} ms", run.catch_up_ms);
     }
-    println!(
+    out!(
         "  PoP     : {}/{} verified over the wire",
-        run.pop_successes, run.pop_attempts
+        run.pop_successes,
+        run.pop_attempts
     );
     let s = outcome.stats;
-    println!(
+    out!(
         "  wire    : {} datagrams out / {} in, {} retries, {} timeouts",
-        s.datagrams_sent, s.datagrams_received, s.request_retries, s.request_timeouts
+        s.datagrams_sent,
+        s.datagrams_received,
+        s.request_retries,
+        s.request_timeouts
     );
-    println!(
+    out!(
         "  dropped : {} crc, {} malformed, {} unknown-tag, {} codec",
-        s.crc_drops, s.malformed_drops, s.unknown_tag_drops, s.codec_error_drops
+        s.crc_drops,
+        s.malformed_drops,
+        s.unknown_tag_drops,
+        s.codec_error_drops
     );
     if run.degraded {
         return Err("run degraded: a digest barrier timed out".into());
@@ -715,7 +762,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         }
     };
 
-    println!(
+    out!(
         "cluster: {} node processes × {slots} slots (seed {seed}{}{}{})",
         config.total_processes(),
         if config.pop { ", PoP on" } else { "" },
@@ -733,14 +780,14 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         }
     );
     if !config.adversaries.is_empty() {
-        println!(
+        out!(
             "adversaries: {}",
             tldag::net::format_adversary_schedule(&config.adversaries)
         );
     }
     let outcome = tldag::net::run_cluster(&config)?;
     for report in &outcome.reports {
-        println!(
+        out!(
             "  node {:>3}: {} blocks, digest {}, PoP {}/{}{}",
             report.node.0,
             report.chain_len,
@@ -751,12 +798,12 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         );
     }
     if !outcome.status_series.is_empty() {
-        println!(
+        out!(
             "  mid-run status ({} samples):",
             outcome.status_series.len()
         );
         for rows in &outcome.status_series {
-            println!(
+            out!(
                 "    slot {:>4}: {} nodes answered, chain Σ{}, PoP {}/{}, {} retries",
                 rows.iter().map(|r| r.slot).max().unwrap_or(0),
                 rows.len(),
@@ -767,15 +814,18 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
             );
         }
     }
-    println!("  wire network digest      : {}", outcome.wire_digest);
-    println!("  reference network digest : {}", outcome.reference_digest);
+    out!("  wire network digest      : {}", outcome.wire_digest);
+    out!("  reference network digest : {}", outcome.reference_digest);
     let n = &outcome.net;
-    println!(
+    out!(
         "  wire totals              : {} datagrams out / {} in, {} retries, {} timeouts",
-        n.datagrams_sent, n.datagrams_received, n.request_retries, n.request_timeouts
+        n.datagrams_sent,
+        n.datagrams_received,
+        n.request_retries,
+        n.request_timeouts
     );
     if !outcome.metrics_addrs.is_empty() {
-        println!(
+        out!(
             "  metrics endpoints        : {}",
             outcome
                 .metrics_addrs
@@ -786,7 +836,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         );
     }
     if config.pop {
-        println!(
+        out!(
             "  PoP wire {}/{} vs reference {}/{}",
             outcome.wire_pop.1,
             outcome.wire_pop.0,
@@ -796,14 +846,18 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     }
     let adversarial = !outcome.adversaries.is_empty();
     if adversarial {
-        println!(
+        out!(
             "  honest-subset digest     : wire {} vs reference {}",
-            outcome.honest_wire_digest, outcome.honest_reference_digest
+            outcome.honest_wire_digest,
+            outcome.honest_reference_digest
         );
-        println!(
+        out!(
             "  adversary detection      : {} digest conflicts, {} conflict pulls, \
 {} flap rejections, {} evictions",
-            n.digest_conflicts, n.conflict_pulls, n.flap_rejections, n.evictions
+            n.digest_conflicts,
+            n.conflict_pulls,
+            n.flap_rejections,
+            n.evictions
         );
     }
     // The verdict for an adversarial run is the honest subset: a dark
@@ -816,21 +870,21 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     };
     if verdict {
         if adversarial {
-            println!("HONEST PARITY OK: honest nodes reproduced the in-memory engine under attack");
+            out!("HONEST PARITY OK: honest nodes reproduced the in-memory engine under attack");
         } else {
-            println!("PARITY OK: the UDP cluster reproduced the in-memory engine exactly");
+            out!("PARITY OK: the UDP cluster reproduced the in-memory engine exactly");
         }
         Ok(())
     } else {
         for (i, report) in outcome.reports.iter().enumerate() {
             if report.chain_digest != outcome.reference_chains[i] {
-                println!("  MISMATCH at node {i}");
+                out!("  MISMATCH at node {i}");
             }
         }
         // The harness already pulled per-slot evidence from the live
         // nodes before releasing them — name the fork, don't just panic.
         if let Some(forensics) = &outcome.forensics {
-            print!("{}", forensics.render());
+            out_raw!("{}", forensics.render());
         }
         Err("PARITY FAILED: wire and in-memory digests differ".into())
     }
@@ -852,8 +906,8 @@ fn cmd_explore(args: &Args) -> Result<(), String> {
     };
     let listen: std::net::SocketAddr = args.get("listen", "127.0.0.1:0".parse().expect("addr"))?;
     let explorer = tldag::net::Explorer::spawn(listen, source)?;
-    println!("explorer listening on {}", explorer.addr());
-    println!("  GET /dag  GET /slot/<t>  GET /block/<o>-<q>");
+    out!("explorer listening on {}", explorer.addr());
+    out!("  GET /dag  GET /slot/<t>  GET /block/<o>-<q>");
     let duration: f64 = args.get("duration", 0.0)?;
     if duration > 0.0 {
         std::thread::sleep(std::time::Duration::from_secs_f64(duration));
@@ -892,11 +946,11 @@ fn cmd_status(args: &Args) -> Result<(), String> {
     }
     let total = tldag::net::total_row(&per_node, &rows);
     if args.switch("json") {
-        println!("{}", tldag::net::status_json(&rows, &total));
+        out!("{}", tldag::net::status_json(&rows, &total));
     } else {
         let mut all = rows;
         all.push(total);
-        print!("{}", tldag::net::render_status_table(&all));
+        out_raw!("{}", tldag::net::render_status_table(&all));
     }
     Ok(())
 }
@@ -904,7 +958,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first().cloned() else {
-        print!("{USAGE}");
+        out_raw!("{USAGE}");
         return ExitCode::FAILURE;
     };
     // `tldag explore HOST:PORT` sugar: the one positional operand becomes
@@ -923,7 +977,7 @@ fn main() -> ExitCode {
             "status" => cmd_status(&args),
             "explore" => cmd_explore(&args),
             "help" | "--help" | "-h" => {
-                print!("{USAGE}");
+                out_raw!("{USAGE}");
                 Ok(())
             }
             other => Err(format!("unknown command `{other}`")),
