@@ -6,7 +6,9 @@
 //! (Eq. 5). This crate implements all four from scratch so the workspace has no
 //! external cryptographic dependencies:
 //!
-//! * [`sha256`] — a pure-Rust SHA-256 (FIPS 180-4), validated against NIST vectors.
+//! * [`sha256`] — SHA-256 (FIPS 180-4), validated against NIST vectors: a
+//!   pure-Rust compression function, plus an x86-64 SHA-extension kernel
+//!   picked at run time on CPUs that have it.
 //! * [`merkle`] — a binary Merkle tree with inclusion proofs over block bodies.
 //! * [`schnorr`] — Schnorr signatures over a 64-bit safe-prime field. This is
 //!   **simulation-grade**: structurally a real Schnorr scheme (key generation,
@@ -29,7 +31,11 @@
 //! assert!(puzzle::check(&puzzle::puzzle_digest(b"block header", nonce), 8));
 //! ```
 
-#![forbid(unsafe_code)]
+// The SHA-256 hardware kernel (`sha256/x86.rs`) is the one leaf module that
+// opts back in with its own `allow(unsafe_code)`; it is only entered after a
+// run-time CPU feature check, and no other module can grow unsafe blocks
+// without tripping this lint.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;

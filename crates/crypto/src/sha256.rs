@@ -1,11 +1,30 @@
-//! Pure-Rust SHA-256 (FIPS 180-4).
+//! SHA-256 (FIPS 180-4).
 //!
 //! This is the `H(.)` of the 2LDAG paper: every block-header digest, Merkle
 //! node, puzzle evaluation, and signature challenge in the workspace flows
 //! through this implementation. It is validated against the NIST short/long
 //! message vectors in the unit tests below.
+//!
+//! # Which compression path runs
+//!
+//! Every full 64-byte block goes through one dispatch point that picks, per
+//! call, between two compression functions with bit-identical output:
+//!
+//! * on x86-64 CPUs with the SHA extensions (`sha`, plus `sse2`, `ssse3`,
+//!   `sse4.1`), detected at run time with `is_x86_feature_detected!`, a
+//!   hardware kernel (`sha256/x86.rs`, the crate's only `unsafe` code);
+//! * everywhere else — other x86-64 CPUs and every other architecture — the
+//!   portable pure-Rust compression function, which the unit tests also use
+//!   as the reference the hardware kernel is checked against.
+//!
+//! [`Sha256::update`] hands all full blocks of one call to the chosen path
+//! at once, and [`Sha256::finalize`] pads in place and compresses once or
+//! twice. No configuration selects the path; digests never depend on it.
 
 use crate::digest::Digest;
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes).
@@ -72,100 +91,99 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
             self.buffer_len += take;
             rest = &rest[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let arr: &[u8; 64] = block.try_into().expect("split_at(64)");
-            self.compress(arr);
-            rest = tail;
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finishes the hash and returns the digest, consuming the hasher.
+    ///
+    /// The `0x80` marker, the zero padding and the 64-bit big-endian bit
+    /// length are written into the block buffer in place: one compression
+    /// when at most 55 bytes are buffered, two otherwise.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, then zero padding, then the 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` changed total_len; padding is length-neutral from here on,
-        // so write zeros directly through the buffer machinery.
-        while self.buffer_len != 56 {
-            let zeros = if self.buffer_len < 56 {
-                56 - self.buffer_len
-            } else {
-                64 - self.buffer_len + 56
-            };
-            // Feed zeros in buffer-sized chunks.
-            let chunk = [0u8; 64];
-            let n = zeros.min(64);
-            let before = self.total_len;
-            self.update(&chunk[..n]);
-            self.total_len = before; // padding does not count toward message length
+        let used = self.buffer_len;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used >= 56 {
+            // No room for the length: this block carries only the marker.
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer.fill(0);
         }
-        let before = self.total_len;
-        self.update(&bit_len.to_be_bytes());
-        self.total_len = before;
-        debug_assert_eq!(self.buffer_len, 0, "padding must close the final block");
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("chunks_exact(4)"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// Compresses `blocks` into `state` in order, on the hardware kernel when
+/// the CPU has one and with the portable [`compress`] otherwise.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_blocks(state, blocks) {
+        return;
+    }
+    for block in blocks {
+        compress(state, block);
+    }
+}
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+/// The portable SHA-256 compression function: absorbs one 64-byte block
+/// into `state`. The fallback on CPUs without a hardware kernel and the
+/// reference the kernel is tested against.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("chunks_exact(4)"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -249,21 +267,81 @@ mod tests {
         );
     }
 
+    /// Lengths around every padding boundary (55/56 decide one or two
+    /// final compressions, 63/64 a full buffered block) over one, two and
+    /// several blocks.
+    const BOUNDARY_LENGTHS: [usize; 19] = [
+        0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 121, 127, 128, 129, 183, 184, 191, 192, 300,
+    ];
+
     #[test]
     fn streaming_matches_one_shot_at_every_split() {
-        let data: Vec<u8> = (0..200u8).collect();
-        let expect = sha256(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), expect, "split at {split}");
+        for len in BOUNDARY_LENGTHS {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let expect = sha256(&data);
+            // Byte at a time: every block goes through the buffer.
+            let mut bytewise = Sha256::new();
+            for byte in &data {
+                bytewise.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(bytewise.finalize(), expect, "len {len} byte at a time");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expect, "len {len} split at {split}");
+            }
         }
     }
 
     #[test]
+    fn hardware_kernel_matches_portable_compress() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !x86::detected() {
+                eprintln!(
+                    "hardware_kernel_matches_portable_compress: this CPU lacks the SHA \
+                     extensions; only the portable path was exercised"
+                );
+                return;
+            }
+            // xorshift64: seeded, dependency-free, same inputs every run.
+            let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed
+            };
+            for case in 0..200 {
+                let mut state = [0u32; 8];
+                for word in &mut state {
+                    *word = next() as u32;
+                }
+                let count = 1 + case % 64;
+                let blocks: Vec<[u8; 64]> = (0..count)
+                    .map(|_| std::array::from_fn(|_| next() as u8))
+                    .collect();
+                let mut portable = state;
+                for block in &blocks {
+                    compress(&mut portable, block);
+                }
+                let mut hardware = state;
+                assert!(x86::compress_blocks(&mut hardware, &blocks));
+                assert_eq!(hardware, portable, "case {case}: {count} blocks");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!(
+            "hardware_kernel_matches_portable_compress: no hardware kernel on this \
+             architecture; only the portable path was exercised"
+        );
+    }
+
+    #[test]
     fn lengths_spanning_padding_boundaries() {
-        // 55, 56, 63, 64, 65 bytes hit every branch of the padding logic.
+        // 55, 56, 63, 64, 65 bytes hit every branch of the padding logic on
+        // one block, 119, 120, 127, 128 the same branches after a full one.
         let known = [
             (
                 55usize,
@@ -284,6 +362,22 @@ mod tests {
             (
                 65,
                 "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+            (
+                127,
+                "c57e9278af78fa3cab38667bef4ce29d783787a2f731d4e12200270f0c32320a",
+            ),
+            (
+                128,
+                "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e",
             ),
         ];
         for (len, expect) in known {

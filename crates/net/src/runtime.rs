@@ -430,39 +430,47 @@ impl PopTransport for NetPopTransport<'_> {
     }
 }
 
-/// The verification-target candidates the in-memory engine would scan at
-/// `slot`, computed closed-form from the deployment invariants (uniform
-/// schedule): a member that joined at slot `j` holds blocks with sequence
-/// `t - j` and generation time `t` for every `t` it generated in, and
-/// departed members are skipped entirely — exactly the engine's
-/// `choose_target` scan under the same membership history. Enumeration
-/// order matches the engine's (owners ascending, sequences ascending), so
-/// the derived target stream picks the same block.
-pub fn wire_pop_candidates(
+/// Draws `validator`'s verification target at `slot` the way the in-memory
+/// engine's `choose_target` does, closed-form from the deployment
+/// invariants (uniform schedule): a member that joined at slot `j` holds
+/// blocks with sequence `t - j` and generation time `t` for every `t` it
+/// generated in, and departed members are skipped entirely.
+///
+/// The engine's candidate list is every qualifying block in owner order,
+/// then sequence order; each live owner contributes a run of
+/// `horizon - j + 1` blocks. So one `rng.index` over the total, mapped to
+/// `(owner, seq)` by walking the per-owner counts, picks the same block in
+/// O(members) instead of materialising all O(members × slots) candidates.
+/// Draws exactly one `rng.index` when a candidate exists and leaves `rng`
+/// untouched otherwise.
+pub fn wire_pop_target(
     roster: &Roster,
     validator: NodeId,
     slot: u64,
     min_age: u64,
-) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    if slot < min_age {
-        return out;
+    rng: &mut DetRng,
+) -> Option<BlockId> {
+    let horizon = slot.checked_sub(min_age)?; // latest qualifying generation time
+    let counts: Vec<(NodeId, usize)> = (0..roster.total_ids())
+        .map(NodeId)
+        .filter(|&owner| owner != validator && !roster.departed_by(owner, slot))
+        .filter_map(|owner| {
+            let join = roster.member(owner)?.join_slot;
+            (join <= horizon).then(|| (owner, (horizon - join + 1) as usize))
+        })
+        .collect();
+    let total: usize = counts.iter().map(|&(_, count)| count).sum();
+    if total == 0 {
+        return None;
     }
-    let horizon = slot - min_age; // latest qualifying generation time
-    for owner in (0..roster.total_ids()).map(NodeId) {
-        if owner == validator || roster.departed_by(owner, slot) {
-            continue;
+    let mut pick = rng.index(total);
+    for (owner, count) in counts {
+        if pick < count {
+            return Some(BlockId::new(owner, pick as u32));
         }
-        let Some(member) = roster.member(owner) else {
-            continue;
-        };
-        let mut t = member.join_slot;
-        while t <= horizon {
-            out.push(BlockId::new(owner, (t - member.join_slot) as u32));
-            t += 1;
-        }
+        pick -= count;
     }
-    out
+    unreachable!("pick < total")
 }
 
 /// Shared state between the slot loop and the inbound dispatcher thread.
@@ -500,13 +508,11 @@ struct Shared {
     /// locally (the inline PoP in lockstep mode, the verify worker in
     /// pipelined mode). Non-PoP runs advance it with generation.
     verified_through: AtomicU64,
-    /// Version counter + condvar forming the pipeline's progress signal:
-    /// bumped whenever shared protocol state changes (digest heard, done
-    /// watermark raised, membership delta, own slot verified), so
+    /// The progress signal: bumped whenever shared protocol state changes
+    /// (any control message, digest heard, done watermark raised,
+    /// membership delta, own slot verified), so the hello barrier and the
     /// pipelined waits park instead of polling.
-    progress: Mutex<u64>,
-    /// Wakes the waits parked on [`Shared::progress`].
-    progress_cv: Condvar,
+    progress: Progress,
     /// Generation start times of slots still in the pipeline, consumed by
     /// whoever completes the slot's verification (end-to-end latency).
     slot_started: Mutex<HashMap<u64, Instant>>,
@@ -692,8 +698,7 @@ need --join)",
                 current_slot: AtomicU64::new(0),
                 window: config.window,
                 verified_through: AtomicU64::new(0),
-                progress: Mutex::new(0),
-                progress_cv: Condvar::new(),
+                progress: Progress::default(),
                 slot_started: Mutex::new(HashMap::new()),
                 pipeline_abort: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
@@ -1124,16 +1129,16 @@ need --join)",
                     .record(Phase::Gossip, fold_started.elapsed());
                 // The engine never makes a malicious node a validator (its
                 // verify phase filters them out), so an active adversary
-                // skips the PoP identically — empty candidates — or the
+                // skips the PoP identically — no target drawn — or the
                 // PoP counters would diverge from the reference run.
-                let candidates = if behavior_applied {
-                    Vec::new()
+                let target = if behavior_applied {
+                    None
                 } else {
                     let roster = self.shared.roster.lock().expect("roster poisoned");
-                    wire_pop_candidates(&roster, id, slot, min_age)
+                    let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
+                    wire_pop_target(&roster, id, slot, min_age, &mut target_rng)
                 };
-                let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
-                if let Some(&target) = target_rng.choose(&candidates) {
+                if let Some(target) = target {
                     pop_attempts += 1;
                     telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
                     let pop_started = Instant::now();
@@ -1228,7 +1233,7 @@ need --join)",
                 // The worker must not wait out its timeouts slot by slot
                 // for blocks that will never be generated.
                 self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                notify_progress(&self.shared);
+                self.shared.progress.notify();
             }
             (gen, worker.join())
         });
@@ -1264,7 +1269,7 @@ need --join)",
                     // The verify worker must not wait out timeouts for
                     // slots the flapper will never generate.
                     self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                    notify_progress(&self.shared);
+                    self.shared.progress.notify();
                     self.flap_phase(slot);
                     break;
                 }
@@ -1402,7 +1407,7 @@ need --join)",
             let prefix = digest_prefix(&digest);
             record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
             // The verify worker may be parked on this very digest.
-            notify_progress(&self.shared);
+            self.shared.progress.notify();
             // PoP mode: every generating peer consumes the digest.
             let trace_ctx = self.gossip_trace_ctx(slot, prefix);
             let gossip_targets = self.generator_addrs(slot);
@@ -1486,14 +1491,14 @@ need --join)",
             }
             // Active adversaries skip the validator role, mirroring the
             // engine's verify-phase filter (see the lockstep loop).
-            let candidates = if self.adversary_active(slot) {
-                Vec::new()
+            let target = if self.adversary_active(slot) {
+                None
             } else {
                 let roster = self.shared.roster.lock().expect("roster poisoned");
-                wire_pop_candidates(&roster, id, slot, min_age)
+                let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
+                wire_pop_target(&roster, id, slot, min_age, &mut target_rng)
             };
-            let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
-            if let Some(&target) = target_rng.choose(&candidates) {
+            if let Some(target) = target {
                 outcome.pop_attempts += 1;
                 telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
                 let pop_started = Instant::now();
@@ -1544,7 +1549,7 @@ need --join)",
             self.shared
                 .verified_through
                 .store(slot + 1, Ordering::Relaxed);
-            notify_progress(&self.shared);
+            self.shared.progress.notify();
             let started = self
                 .shared
                 .slot_started
@@ -1561,7 +1566,7 @@ need --join)",
         if outcome.degraded {
             // Free the generation half from its window-gate waits.
             self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-            notify_progress(&self.shared);
+            self.shared.progress.notify();
         }
         let mut node = self.shared.node.write().expect("node lock poisoned");
         node.restore_trust_cache(trust_cache);
@@ -1585,19 +1590,18 @@ need --join)",
         pending
     }
 
-    /// One barrier wait quantum. Lockstep keeps the seed's 5 ms sleep (its
-    /// timing is the baseline the saturation benchmark measures against);
-    /// the pipeline parks on the progress condvar instead, so a blocked
-    /// loop burns no syscall churn and wakes the moment the dispatcher
-    /// hears news.
-    fn barrier_pause(&self) {
+    /// One barrier wait quantum, after the caller took the progress
+    /// snapshot `seen` and then found its predicate false. Lockstep keeps
+    /// the seed's 5 ms sleep (its timing is the baseline the saturation
+    /// benchmark measures against); the pipeline parks on the progress
+    /// signal instead, so a blocked loop burns no syscall churn and wakes
+    /// the moment the dispatcher hears news — including news that arrived
+    /// after the predicate check.
+    fn barrier_pause(&self, seen: u64) {
         if self.config.window > 1 {
-            let version = self.shared.progress.lock().expect("progress poisoned");
-            let _ = self
-                .shared
-                .progress_cv
-                .wait_timeout(version, Duration::from_millis(25))
-                .expect("progress poisoned");
+            self.shared
+                .progress
+                .wait_since(seen, Duration::from_millis(25));
         } else {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1608,6 +1612,7 @@ need --join)",
     fn wait_own_generated(&self, slot: u64) -> bool {
         let deadline = Instant::now() + self.config.slot_timeout;
         loop {
+            let seen = self.shared.progress.snapshot();
             if self
                 .shared
                 .own_digests
@@ -1620,7 +1625,7 @@ need --join)",
             if self.shared.pipeline_abort.load(Ordering::Relaxed) || Instant::now() > deadline {
                 return false;
             }
-            self.barrier_pause();
+            self.barrier_pause(seen);
         }
     }
 
@@ -1683,13 +1688,14 @@ need --join)",
     fn wait_verified_through(&self, target: u64) -> bool {
         let deadline = Instant::now() + self.config.slot_timeout;
         loop {
+            let seen = self.shared.progress.snapshot();
             if self.shared.verified_through.load(Ordering::Relaxed) >= target {
                 return true;
             }
             if self.shared.pipeline_abort.load(Ordering::Relaxed) || Instant::now() > deadline {
                 return false;
             }
-            self.barrier_pause();
+            self.barrier_pause(seen);
         }
     }
 
@@ -2097,11 +2103,17 @@ need --join)",
     }
 
     /// Sends hellos until every founder peer acked (sockets are up) or the
-    /// deadline passes.
+    /// deadline passes. Missing peers are re-sent a hello every 50 ms;
+    /// between sends the barrier parks on the progress signal, which the
+    /// dispatcher bumps on every control message, so the last `HelloAck`
+    /// releases it at once.
     fn hello_barrier(&self) -> Result<(), String> {
+        const RESEND: Duration = Duration::from_millis(50);
         let deadline = Instant::now() + self.config.hello_timeout;
         let all: Vec<NodeId> = self.peers.ids();
+        let mut next_send = Instant::now();
         loop {
+            let seen = self.shared.progress.snapshot();
             let missing: Vec<NodeId> = {
                 let acks = self.shared.hello_acks.lock().expect("hello acks poisoned");
                 all.iter().filter(|p| !acks.contains(p)).copied().collect()
@@ -2109,23 +2121,29 @@ need --join)",
             if missing.is_empty() {
                 return Ok(());
             }
-            if Instant::now() > deadline {
+            let now = Instant::now();
+            if now > deadline {
                 return Err(format!(
                     "peers never came up: {:?}",
                     missing.iter().map(|p| p.0).collect::<Vec<_>>()
                 ));
             }
-            for peer in &missing {
-                if let Some(addr) = self.peers.addr(*peer) {
-                    let _ = self.endpoint.send_control(
-                        addr,
-                        &Control::Hello {
-                            from: self.config.id,
-                        },
-                    );
+            if now >= next_send {
+                for peer in &missing {
+                    if let Some(addr) = self.peers.addr(*peer) {
+                        let _ = self.endpoint.send_control(
+                            addr,
+                            &Control::Hello {
+                                from: self.config.id,
+                            },
+                        );
+                    }
                 }
+                next_send = now + RESEND;
             }
-            std::thread::sleep(Duration::from_millis(50));
+            self.shared
+                .progress
+                .wait_since(seen, next_send.saturating_duration_since(now));
         }
     }
 
@@ -2137,6 +2155,7 @@ need --join)",
         let deadline = Instant::now() + self.config.slot_timeout;
         let mut next_pull = Instant::now() + Duration::from_millis(120);
         loop {
+            let seen = self.shared.progress.snapshot();
             let missing: Vec<NodeId> = {
                 let buffered = self.shared.digests.lock().expect("digests poisoned");
                 let roster = self.shared.roster.lock().expect("roster poisoned");
@@ -2168,7 +2187,7 @@ need --join)",
                 }
                 next_pull = now + Duration::from_millis(120);
             }
-            self.barrier_pause();
+            self.barrier_pause(seen);
         }
     }
 
@@ -2183,6 +2202,7 @@ need --join)",
         let deadline = Instant::now() + self.config.slot_timeout;
         let mut next_push = Instant::now() + Duration::from_millis(120);
         loop {
+            let seen = self.shared.progress.snapshot();
             // Read fresh each pass: in pipelined mode the verify worker
             // can complete `slot` mid-wait.
             let executed_slot = self.shared.verified_through.load(Ordering::Relaxed) > slot;
@@ -2221,7 +2241,7 @@ need --join)",
                 }
                 next_push = now + Duration::from_millis(120);
             }
-            self.barrier_pause();
+            self.barrier_pause(seen);
         }
     }
 
@@ -2736,16 +2756,44 @@ peer flagged as adversarial"
             }
             // Any control message may have been the news a pipelined wait
             // is parked on.
-            notify_progress(shared);
+            shared.progress.notify();
         }
     }
 }
 
-/// Bumps the progress version and wakes every wait parked on it.
-fn notify_progress(shared: &Shared) {
-    let mut version = shared.progress.lock().expect("progress poisoned");
-    *version = version.wrapping_add(1);
-    shared.progress_cv.notify_all();
+/// A version counter plus condvar: the runtime's progress signal.
+///
+/// A wait takes a [`Progress::snapshot`] *before* checking its predicate
+/// and parks with [`Progress::wait_since`]. A notify that lands between
+/// the check and the park has already moved the version, so the wait
+/// returns at once instead of sleeping out its timeout.
+#[derive(Default)]
+struct Progress {
+    version: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl Progress {
+    /// The current version, to be taken before a wait checks its predicate.
+    fn snapshot(&self) -> u64 {
+        *self.version.lock().expect("progress poisoned")
+    }
+
+    /// Bumps the version and wakes every wait parked on it.
+    fn notify(&self) {
+        let mut version = self.version.lock().expect("progress poisoned");
+        *version = version.wrapping_add(1);
+        self.changed.notify_all();
+    }
+
+    /// Parks while the version still equals `seen`, for at most `timeout`.
+    fn wait_since(&self, seen: u64, timeout: Duration) {
+        let version = self.version.lock().expect("progress poisoned");
+        let _ = self
+            .changed
+            .wait_timeout_while(version, timeout, |version| *version == seen)
+            .expect("progress poisoned");
+    }
 }
 
 /// Forwards a freshly learned membership delta to every addressable
@@ -2913,5 +2961,108 @@ fn mark_done(shared: &Shared, peer: NodeId, slot: u64) {
     let entry = done.entry(peer).or_insert(slot);
     if *entry < slot {
         *entry = slot;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn progress_bump_after_snapshot_wakes_at_once() {
+        let progress = Progress::default();
+        let seen = progress.snapshot();
+        // The notify lands between the snapshot (taken before the wait's
+        // predicate check) and the park: the wait must not sleep it out.
+        progress.notify();
+        let started = Instant::now();
+        progress.wait_since(seen, Duration::from_secs(5));
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn progress_wait_wakes_on_a_later_notify() {
+        let progress = Arc::new(Progress::default());
+        let seen = progress.snapshot();
+        let notifier = {
+            let progress = Arc::clone(&progress);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                progress.notify();
+            })
+        };
+        let started = Instant::now();
+        progress.wait_since(seen, Duration::from_secs(5));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        notifier.join().expect("notifier panicked");
+    }
+
+    #[test]
+    fn progress_wait_times_out_without_news() {
+        let progress = Progress::default();
+        let started = Instant::now();
+        progress.wait_since(progress.snapshot(), Duration::from_millis(20));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+    }
+
+    /// The full enumeration the closed-form draw replaced: every block the
+    /// engine's scan would list at `slot`, owners ascending, sequences
+    /// ascending.
+    fn enumerated_candidates(
+        roster: &Roster,
+        validator: NodeId,
+        slot: u64,
+        min_age: u64,
+    ) -> Vec<BlockId> {
+        let mut out = Vec::new();
+        if slot < min_age {
+            return out;
+        }
+        let horizon = slot - min_age;
+        for owner in (0..roster.total_ids()).map(NodeId) {
+            if owner == validator || roster.departed_by(owner, slot) {
+                continue;
+            }
+            let Some(member) = roster.member(owner) else {
+                continue;
+            };
+            let mut t = member.join_slot;
+            while t <= horizon {
+                out.push(BlockId::new(owner, (t - member.join_slot) as u32));
+                t += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn closed_form_target_matches_enumeration() {
+        let mut roster = Roster::founders(6);
+        roster.learn_leave(NodeId(2), 5); // departs mid-run
+        roster.learn_leave(NodeId(4), 30); // leave announced for later
+        roster.learn_join(NodeId(6), None, 4); // late joiners
+        roster.learn_join(NodeId(7), None, 11);
+        roster.learn_join(NodeId(9), None, 8); // id 8 never joined
+        roster.evict(NodeId(6), 12);
+        roster.learn_join(NodeId(6), None, 14); // evicted, then back
+        let mut draws = 0;
+        for seed in 0..4u64 {
+            for min_age in [0u64, 1, 3, 8] {
+                for slot in 0..24u64 {
+                    for validator in (0..11).map(NodeId) {
+                        let candidates = enumerated_candidates(&roster, validator, slot, min_age);
+                        let mut expect_rng = derived_rng(seed, stream::TARGET, slot, validator);
+                        let expect = expect_rng.choose(&candidates).copied();
+                        let mut rng = derived_rng(seed, stream::TARGET, slot, validator);
+                        let got = wire_pop_target(&roster, validator, slot, min_age, &mut rng);
+                        let at = format!("seed {seed} min_age {min_age} slot {slot} {validator}");
+                        assert_eq!(got, expect, "{at}");
+                        assert_eq!(rng.next_u64(), expect_rng.next_u64(), "rng state at {at}");
+                        draws += usize::from(expect.is_some());
+                    }
+                }
+            }
+        }
+        assert!(draws > 1000, "the roster must offer candidates");
     }
 }
