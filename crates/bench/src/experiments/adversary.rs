@@ -24,7 +24,7 @@ use std::time::Instant;
 use tldag_core::attack::Behavior;
 use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
+use tldag_net::harness::{loopback_addrs, replay_reference_schedule};
 use tldag_net::runtime::{deployment_protocol_config, deployment_topology, NodeOutcome};
 use tldag_net::{AdversaryPlacement, NetNode, NetNodeConfig, NetStats};
 use tldag_sim::engine::GenerationSchedule;
@@ -155,17 +155,6 @@ pub struct AdversaryData {
     pub points: Vec<AdversaryPoint>,
 }
 
-/// Discovers `n` distinct loopback UDP ports by binding and releasing.
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
 /// The engine reference for one cast: same seed, same topology, the
 /// placement applied through the same helper `tldag cluster` uses.
 fn reference_run(config: &AdversaryConfig, placements: &[AdversaryPlacement]) -> TldagNetwork {
@@ -190,7 +179,7 @@ fn reference_run(config: &AdversaryConfig, placements: &[AdversaryPlacement]) ->
 /// Runs one in-process wire cluster with the given cast and returns the
 /// per-node outcomes in id order.
 fn wire_run(config: &AdversaryConfig, placements: &[AdversaryPlacement]) -> Vec<NodeOutcome> {
-    let addrs = discover_ports(config.founders);
+    let addrs = loopback_addrs(config.founders).expect("loopback probe sockets");
     let handles: Vec<std::thread::JoinHandle<NodeOutcome>> = (0..config.founders)
         .map(|i| {
             let id = NodeId(i as u32);

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
+use tldag_net::harness::{loopback_addrs, replay_reference_schedule};
 use tldag_net::membership::{validate_churn, ChurnEvent};
 use tldag_net::runtime::{
     deployment_protocol_config, deployment_topology, network_digest_of, NodeOutcome,
@@ -212,17 +212,6 @@ pub struct ChurnData {
     pub points: Vec<ChurnPoint>,
 }
 
-/// Discovers `n` distinct loopback UDP ports by binding and releasing.
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
 /// The engine reference for one schedule: same seed, same membership,
 /// replayed through the same helper the cluster harness uses — one
 /// definition of the reference, no drift between the two parity checks.
@@ -246,7 +235,7 @@ fn reference_run(config: &ChurnConfig, events: &[ChurnEvent]) -> TldagNetwork {
 }
 
 /// Discovers `n` distinct loopback TCP ports for the metrics listeners
-/// (bound together then released, like [`discover_ports`]).
+/// (bound together then released, like [`loopback_addrs`]).
 fn discover_tcp_ports(n: usize) -> Vec<std::net::SocketAddr> {
     let listeners: Vec<std::net::TcpListener> = (0..n)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind metrics probe"))
@@ -267,7 +256,7 @@ fn wire_run(config: &ChurnConfig, events: &[ChurnEvent]) -> (Vec<NodeOutcome>, V
         .filter(|e| matches!(e, ChurnEvent::Join { .. }))
         .count();
     let total = config.founders + joins;
-    let addrs = discover_ports(total);
+    let addrs = loopback_addrs(total).expect("loopback probe sockets");
     let metrics_addrs = discover_tcp_ports(total);
 
     let handles: Vec<std::thread::JoinHandle<NodeOutcome>> = (0..total)

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
+use tldag_net::harness::{loopback_addrs, replay_reference_schedule};
 use tldag_net::runtime::{
     deployment_protocol_config, deployment_topology, network_digest_of, NodeOutcome,
 };
@@ -106,16 +106,6 @@ pub struct LifecycleData {
     pub reference_pop: (u64, u64),
 }
 
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
 fn reference_run(config: &LifecycleConfig) -> TldagNetwork {
     let topology = deployment_topology(config.seed, config.nodes, 300.0);
     let cfg = deployment_protocol_config(config.gamma);
@@ -131,7 +121,7 @@ fn reference_run(config: &LifecycleConfig) -> TldagNetwork {
 /// One traced in-process cluster run: per-node outcomes plus the
 /// telemetry handles whose span stores outlive the runtimes.
 fn wire_run(config: &LifecycleConfig, window: u64) -> Vec<(NodeOutcome, Arc<NodeTelemetry>)> {
-    let addrs = discover_ports(config.nodes);
+    let addrs = loopback_addrs(config.nodes).expect("loopback probe sockets");
     let handles: Vec<std::thread::JoinHandle<(NodeOutcome, Arc<NodeTelemetry>)>> = (0..config
         .nodes)
         .map(|i| {

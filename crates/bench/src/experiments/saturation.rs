@@ -25,7 +25,7 @@ use crate::Scale;
 use std::time::{Duration, Instant};
 use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
+use tldag_net::harness::{loopback_addrs, replay_reference_schedule};
 use tldag_net::runtime::{
     deployment_protocol_config, deployment_topology, network_digest_of, NodeOutcome,
 };
@@ -126,17 +126,6 @@ impl SaturationData {
     }
 }
 
-/// Discovers `n` distinct loopback UDP ports by binding and releasing.
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
 /// The engine reference: same seed, same workload, replayed through the
 /// same helper the cluster harness uses. Window-independent — the whole
 /// point of the pipeline is that the ledger it converges to is identical.
@@ -157,7 +146,7 @@ fn reference_run(config: &SaturationConfig) -> TldagNetwork {
 type NodeResult = (NodeOutcome, tldag_net::telemetry::HistogramSnapshot);
 
 fn wire_run(config: &SaturationConfig, window: u64) -> Vec<NodeResult> {
-    let addrs = discover_ports(config.nodes);
+    let addrs = loopback_addrs(config.nodes).expect("loopback probe sockets");
     let handles: Vec<std::thread::JoinHandle<NodeResult>> = (0..config.nodes)
         .map(|i| {
             let id = NodeId(i as u32);

@@ -367,7 +367,7 @@ impl Drop for ChildGuard {
 
 /// Finds `n` bindable localhost TCP ports (for the metrics listeners).
 ///
-/// Same release-then-rebind race as [`discover_ports`]; the harness's
+/// Same release-then-rebind race as [`loopback_addrs`]; the harness's
 /// single retry on an early child exit absorbs a stolen port.
 fn discover_tcp_ports(n: usize) -> Result<Vec<u16>, String> {
     let mut sockets = Vec::with_capacity(n);
@@ -386,23 +386,26 @@ fn discover_tcp_ports(n: usize) -> Result<Vec<u16>, String> {
     Ok(ports)
 }
 
-/// Finds `n` bindable localhost UDP ports.
-fn discover_ports(n: usize) -> Result<Vec<u16>, String> {
-    let mut sockets = Vec::with_capacity(n);
-    let mut ports = Vec::with_capacity(n);
-    for _ in 0..n {
-        let socket = UdpSocket::bind("127.0.0.1:0")
-            .map_err(|e| format!("cannot discover a free port: {e}"))?;
-        ports.push(
-            socket
-                .local_addr()
-                .map_err(|e| format!("cannot read discovered port: {e}"))?
-                .port(),
-        );
-        // Held until all are discovered so probes cannot collide.
-        sockets.push(socket);
-    }
-    Ok(ports)
+/// Finds `n` distinct bindable loopback UDP addresses, one per node of an
+/// in-process or multi-process cluster.
+///
+/// Each probe socket is held until every address is read, so no two
+/// probes collide; all are released on return, and another process can
+/// take a port before its node binds it (the caller's bind then fails).
+///
+/// # Errors
+///
+/// A probe socket that cannot be bound or report its address.
+pub fn loopback_addrs(n: usize) -> Result<Vec<SocketAddr>, String> {
+    let probes = (0..n)
+        .map(|_| UdpSocket::bind("127.0.0.1:0"))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("cannot discover a free port: {e}"))?;
+    probes
+        .iter()
+        .map(UdpSocket::local_addr)
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("cannot read discovered port: {e}"))
 }
 
 /// Replays a membership schedule on a reference engine and runs it for
@@ -511,6 +514,20 @@ fn reference_run(config: &ClusterConfig) -> TldagNetwork {
 /// report-collection timeouts.
 pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
     validate_churn(&config.churn, config.nodes, config.slots)?;
+    if config.window > 1 && !config.pop {
+        return Err("--window needs --pop".into());
+    }
+    // A pipelined verify worker holds the blacklist for the whole run, so
+    // its generation folds gossip past bans the engine applies: that ban
+    // lag breaks honest-subset parity under adversaries (first divergent
+    // slot 7 for `--nodes 5 --slots 12 --seed 17 --adversary selfish:1`).
+    if config.window > 1 && !config.adversaries.is_empty() {
+        return Err(format!(
+            "--window {} with --adversary is refused: a pipelined node applies PoP \
+bans late (the ban lag), so honest parity would not hold; use --window 1",
+            config.window
+        ));
+    }
     for p in &config.adversaries {
         if p.node.0 as usize >= config.nodes {
             return Err(format!(
@@ -543,7 +560,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
         return Err("--nodes must be positive".into());
     }
     let total = config.total_processes();
-    let ports: Vec<u16> = match config.base_port {
+    let addrs: Vec<SocketAddr> = match config.base_port {
         Some(base) => {
             let last = u64::from(base) + total as u64 - 1;
             if last > u64::from(u16::MAX) {
@@ -551,14 +568,12 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
                     "--base-port {base} + {total} nodes exceeds port 65535"
                 ));
             }
-            (0..total as u16).map(|i| base + i).collect()
+            (0..total as u16)
+                .map(|i| SocketAddr::from(([127, 0, 0, 1], base + i)))
+                .collect()
         }
-        None => discover_ports(total)?,
+        None => loopback_addrs(total)?,
     };
-    let addrs: Vec<SocketAddr> = ports
-        .iter()
-        .map(|p| format!("127.0.0.1:{p}").parse().expect("addr"))
-        .collect();
     let metrics_addrs: Vec<SocketAddr> = if config.metrics {
         discover_tcp_ports(total)?
             .iter()

@@ -123,10 +123,10 @@ pub struct NetNodeConfig {
     /// Epoch window `W`: how many slots generation may run ahead of the
     /// roster-wide completion low-watermark. `1` is the classic lockstep
     /// (each slot fully verified everywhere before the next generation);
-    /// `W ≥ 2` pipelines generation against a background verify worker.
-    /// Only meaningful with `pop` (without verification the slot loop's
-    /// only cross-node dependency is the neighbor digest, which no window
-    /// can relax). Every process of a deployment must use the same value.
+    /// `W ≥ 2` pipelines generation against a background verify worker
+    /// and requires `pop` (without verification the slot loop's only
+    /// cross-node dependency is the neighbor digest, which no window can
+    /// relax). Every process of a deployment must use the same value.
     pub window: u64,
     /// Chain storage backend.
     pub storage: StorageMode,
@@ -307,47 +307,37 @@ fn record_span(shared: &Shared, node: u32, slot: u64, origin: u32, prefix: u64, 
 /// models absence — an explicit `Nack` for an unavailable block, so honest
 /// requesters fail fast instead of burning their retry budget.
 pub fn serve_wire_request(node: &LedgerNode, msg: &WireMessage) -> Option<WireMessage> {
-    match msg {
-        WireMessage::ReqChild { target, .. } => {
-            node.serve_child_request(target).map(|serve| match serve {
-                ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
-                    claimed_owner: node.id(),
-                    block_id,
-                    header,
-                }),
-                ChildServe::NoChild => WireMessage::Nack { from: node.id() },
-                ChildServe::Pruned => WireMessage::PrunedNack {
-                    from: node.id(),
-                    retained_from: node.pruned_floor(),
-                },
-            })
-        }
+    // A plain `ReqChild` is a child request with no horizon.
+    let (target, horizon) = match msg {
+        WireMessage::ReqChild { target, .. } => (target, u64::MAX),
         WireMessage::ReqChildAt {
             target, horizon, ..
-        } => node
-            .serve_child_request_within(target, *horizon)
-            .map(|serve| match serve {
-                ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
-                    claimed_owner: node.id(),
-                    block_id,
-                    header,
-                }),
-                ChildServe::NoChild => WireMessage::Nack { from: node.id() },
-                ChildServe::Pruned => WireMessage::PrunedNack {
+        } => (target, *horizon),
+        WireMessage::FetchBlock { id, .. } => {
+            return Some(match node.serve_block(*id) {
+                BlockFetch::Served(block) => WireMessage::Block(Box::new(block)),
+                BlockFetch::Pruned { retained_from } => WireMessage::PrunedNack {
                     from: node.id(),
-                    retained_from: node.pruned_floor(),
+                    retained_from,
                 },
+                BlockFetch::Unavailable => WireMessage::Nack { from: node.id() },
+            })
+        }
+        _ => return None,
+    };
+    node.serve_child_request_within(target, horizon)
+        .map(|serve| match serve {
+            ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
+                claimed_owner: node.id(),
+                block_id,
+                header,
             }),
-        WireMessage::FetchBlock { id, .. } => Some(match node.serve_block(*id) {
-            BlockFetch::Served(block) => WireMessage::Block(Box::new(block)),
-            BlockFetch::Pruned { retained_from } => WireMessage::PrunedNack {
+            ChildServe::NoChild => WireMessage::Nack { from: node.id() },
+            ChildServe::Pruned => WireMessage::PrunedNack {
                 from: node.id(),
-                retained_from,
+                retained_from: node.pruned_floor(),
             },
-            BlockFetch::Unavailable => WireMessage::Nack { from: node.id() },
-        }),
-        _ => None,
-    }
+        })
 }
 
 /// [`PopTransport`] over a real socket: each exchange is an
@@ -358,10 +348,10 @@ pub struct NetPopTransport<'a> {
     pub endpoint: &'a Endpoint,
     /// Peer addressing.
     pub peers: &'a PeerTable,
-    /// When set, child requests carry this horizon so run-ahead responders
-    /// answer from their store *as of that slot* — the pipelined validator
-    /// must see exactly what a lockstep one would have.
-    pub horizon: Option<u64>,
+    /// Every child request carries this horizon, so a responder that has
+    /// run ahead answers from its store *as of that slot*: the slot under
+    /// verification, or `u64::MAX` when the chains are static.
+    pub horizon: u64,
     /// When set, every block fetched during the PoP walk is stamped with a
     /// [`SpanKind::Verified`] span on this ring (`None` = tracing off).
     pub spans: Option<&'a SpanStore>,
@@ -410,16 +400,10 @@ impl PopTransport for NetPopTransport<'_> {
     ) -> Option<tldag_core::pop::messages::ChildResponse> {
         use tldag_core::pop::messages::ChildResponse;
         let addr = self.peers.addr(responder)?;
-        let msg = match self.horizon {
-            Some(horizon) => WireMessage::ReqChildAt {
-                from: validator,
-                target,
-                horizon,
-            },
-            None => WireMessage::ReqChild {
-                from: validator,
-                target,
-            },
+        let msg = WireMessage::ReqChildAt {
+            from: validator,
+            target,
+            horizon: self.horizon,
         };
         match self.endpoint.request(addr, &msg)? {
             (_, WireMessage::RpyChild(reply)) => Some(ChildResponse::Found(reply)),
@@ -504,19 +488,19 @@ struct Shared {
     /// The configured epoch window (1 = lockstep); the dispatcher needs
     /// it to infer completion watermarks from digests.
     window: u64,
-    /// Our own verify watermark: every slot below it has been verified
-    /// locally (the inline PoP in lockstep mode, the verify worker in
-    /// pipelined mode). Non-PoP runs advance it with generation.
+    /// Our own verify watermark: every slot below it has been through
+    /// the verify step (inline in lockstep and non-PoP runs, on the
+    /// verify worker in pipelined mode).
     verified_through: AtomicU64,
     /// The progress signal: bumped whenever shared protocol state changes
     /// (any control message, digest heard, done watermark raised,
     /// membership delta, own slot verified), so the hello barrier and the
     /// pipelined waits park instead of polling.
     progress: Progress,
-    /// Generation start times of slots still in the pipeline, consumed by
-    /// whoever completes the slot's verification (end-to-end latency).
+    /// Start times (the `SlotStart` event) of slots not yet committed,
+    /// consumed by the slot's verify step for the slot-latency sample.
     slot_started: Mutex<HashMap<u64, Instant>>,
-    /// The generation loop failed mid-run: the verify worker must wind
+    /// One half of a pipelined run stopped early: the other must wind
     /// down instead of waiting out its timeouts slot by slot.
     pipeline_abort: AtomicBool,
     /// Controller asked us to exit.
@@ -548,12 +532,29 @@ struct Shared {
     muted: AtomicBool,
 }
 
-/// What a slot loop hands back to the epilogue.
+/// What the slot loop hands back to the epilogue.
+#[derive(Default)]
 struct SlotLoopOutcome {
     degraded: bool,
     pop_attempts: u64,
     pop_successes: u64,
 }
+
+/// The generation step's state across slots.
+struct Generation {
+    /// Membership events already folded into the local topology; the
+    /// founders' initial graph counts as applied.
+    applied_joins: HashSet<NodeId>,
+    applied_leaves: HashSet<NodeId>,
+    /// The configured adversarial behaviour has been switched on.
+    behavior_applied: bool,
+    /// A barrier, gate or drain timed out.
+    degraded: bool,
+}
+
+/// A node's PoP trust state (`H_i` and the blacklist), taken out of the
+/// ledger node for a validator to hold.
+type TrustState = (TrustCache, Blacklist);
 
 /// A deployed 2LDAG node: endpoint + dispatcher + slot loop.
 pub struct NetNode {
@@ -574,6 +575,13 @@ impl NetNode {
     pub fn new(mut config: NetNodeConfig) -> Result<Self, String> {
         if !(1..=32).contains(&config.window) {
             return Err(format!("--window {} out of range (1..=32)", config.window));
+        }
+        if config.window > 1 && !config.pop {
+            return Err(format!(
+                "--window needs --pop: a window of {} pipelines generation against PoP \
+verification, and without --pop there is none",
+                config.window
+            ));
         }
         let cfg = deployment_protocol_config(config.gamma);
         let topology = deployment_topology(config.seed, config.nodes, config.side_m);
@@ -852,632 +860,298 @@ need --join)",
             ));
         }
 
-        let min_age = self.config.nodes as u64; // the paper's workload default
         let loop_started = Instant::now();
-        let outcome = if self.config.pop && self.config.window > 1 {
-            self.slot_loop_pipelined(start_slot, end_slot, min_age)?
-        } else {
-            self.slot_loop_lockstep(start_slot, end_slot, min_age)?
-        };
+        let outcome = self.slot_loop(start_slot, end_slot)?;
         let slot_loop_ms = (loop_started.elapsed().as_millis() as u64).max(1);
         self.wind_down(start_slot, end_slot, catch_up_ms, slot_loop_ms, outcome)
     }
 
-    /// The classic slot-lockstep loop (`window == 1`, and every non-PoP
-    /// run): generate → gossip → verify inline, with per-slot barriers.
-    /// Kept intact as the pipelined path's baseline.
-    fn slot_loop_lockstep(
-        &self,
-        start_slot: u64,
-        end_slot: u64,
-        min_age: u64,
-    ) -> Result<SlotLoopOutcome, String> {
-        let id = self.config.id;
-        let seed = self.config.seed;
-        let mut degraded = false;
-        let mut pop_attempts = 0u64;
-        let mut pop_successes = 0u64;
-        // Membership events already folded into the local topology; the
-        // founders' initial graph counts as applied.
-        let mut applied_joins: HashSet<NodeId> =
-            (0..self.config.nodes as u32).map(NodeId).collect();
-        let mut applied_leaves: HashSet<NodeId> = HashSet::new();
-        let mut behavior_applied = false;
-
-        let telemetry = &self.shared.telemetry;
-        for slot in start_slot..end_slot {
-            let slot_begin = Instant::now();
-            self.shared.current_slot.store(slot, Ordering::Relaxed);
-            telemetry
-                .journal
-                .record(slot, EventKind::SlotStart, format!("slot {slot} begins"));
-            if !behavior_applied && self.adversary_active(slot) {
-                behavior_applied = true;
-                if self.config.behavior == Behavior::Flapper {
-                    self.flap_phase(slot);
-                    break;
-                }
-                self.activate_behavior(slot);
-            }
-            let retries_before = self.endpoint.stats().request_retries;
-            self.apply_membership(slot, &mut applied_joins, &mut applied_leaves);
-            let neighbors: Vec<NodeId> = self
-                .shared
-                .topology
-                .read()
-                .expect("topology poisoned")
-                .neighbors(id)
-                .to_vec();
-
-            // --- Digest barrier: collect the slot-1 digest of every
-            // neighbor that generated at slot-1 under the current roster.
-            // The barrier waits are the wire's cross-shard exchange.
-            let exchange_started = Instant::now();
-            if slot > start_slot && !self.digest_barrier(&neighbors, slot - 1) {
-                degraded = true;
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("digest barrier for slot {} timed out", slot - 1),
-                );
-            }
-            // --- Phase lockstep (PoP mode only): the engine verifies slot
-            // t-1 before anyone generates slot t, so generation waits for
-            // every peer's SlotDone(t-1) — otherwise a fast peer's slot-t
-            // block could answer a slow validator's slot-(t-1) PoP with
-            // children the reference engine has not generated yet.
-            if self.config.pop && slot > start_slot && !self.done_barrier(slot - 1) {
-                degraded = true;
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("done barrier for slot {} timed out", slot - 1),
-                );
-            }
-            telemetry
-                .phases
-                .record(Phase::Exchange, exchange_started.elapsed());
-
-            // --- Apply gossip and generate, mirroring the engine's phases.
-            let generate_started = Instant::now();
-            let (digest, equivocation) = {
-                let mut node = self.shared.node.write().expect("node lock poisoned");
-                node.begin_slot();
-                // In PoP mode the fold moves to the verify phase below
-                // (gossip-then-verify, the engine's order); here it would
-                // land *after* the previous slot's offense accounting and
-                // shift the blacklist ban/parole cadence off the reference.
-                if slot > start_slot && !self.config.pop {
-                    let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-                    for &nb in &neighbors {
-                        let latest = buffered
-                            .get(&nb)
-                            .and_then(|per_slot| per_slot.range(..slot).next_back())
-                            .map(|(_, &d)| d);
-                        if let Some(d) = latest {
-                            node.receive_digest(nb, d);
-                        }
-                    }
-                    // Applied digests are spent; older entries can never be
-                    // read again, so the buffer stays O(lag), not O(slots).
-                    for per_slot in buffered.values_mut() {
-                        *per_slot = per_slot.split_off(&(slot - 1));
-                    }
-                }
-                let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
-                let payload = sensor_payload(&mut rng, id, slot);
-                let (block, digest) = node
-                    .generate_block(&self.cfg, slot, payload)
-                    .map_err(|e| format!("generation failed at slot {slot}: {e}"))?;
-                telemetry
-                    .phases
-                    .record(Phase::Generate, generate_started.elapsed());
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Generate,
-                    format!("generated block #{}", node.chain_len() - 1),
-                );
-                // PerSlot durability: the engine's slot-boundary commit point.
-                let sync_started = Instant::now();
-                node.store_mut()
-                    .sync()
-                    .map_err(|e| format!("sync failed at slot {slot}: {e}"))?;
-                let synced = sync_started.elapsed();
-                telemetry.fsync.record(synced);
-                telemetry.phases.record(Phase::Commit, synced);
-                let equivocation = (behavior_applied
-                    && self.config.behavior == Behavior::Equivocate)
-                    .then(|| (block.id, block.header.digests.clone()));
-                (digest, equivocation)
-            };
-            let gossip_started = Instant::now();
-            {
-                let mut own = self
-                    .shared
-                    .own_digests
-                    .lock()
-                    .expect("own digests poisoned");
-                own.insert(slot, digest);
-                // Peers can lag at most one barrier window, but a late
-                // joiner's catch-up pull may reach further back; 64 slots
-                // of 32-byte history is cheap insurance.
-                *own = own.split_off(&slot.saturating_sub(64));
-            }
-            let prefix = digest_prefix(&digest);
-            record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
-            // PoP walks the whole DAG, so in PoP mode every generating peer
-            // needs the digest (the barrier below proves global generation
-            // progress); without PoP only neighbors consume it.
-            let gossip_targets: Vec<(NodeId, SocketAddr)> = if self.config.pop {
-                self.generator_addrs(slot)
-            } else {
-                neighbors
-                    .iter()
-                    .filter_map(|&nb| self.peers.addr(nb).map(|a| (nb, a)))
-                    .collect()
-            };
-            let trace_ctx = self.gossip_trace_ctx(slot, prefix);
-            for (_, addr) in &gossip_targets {
-                let _ = self.endpoint.send_control_traced(
-                    *addr,
-                    &Control::SlotDigest { slot, digest },
-                    trace_ctx,
-                );
-            }
-            if !gossip_targets.is_empty() {
-                record_span(
-                    &self.shared,
-                    id.0,
-                    slot,
-                    id.0,
-                    prefix,
-                    SpanKind::GossipedOut,
-                );
-            }
-            if behavior_applied {
-                self.adversary_gossip(slot, digest, equivocation, &gossip_targets);
-            }
-            telemetry
-                .phases
-                .record(Phase::Gossip, gossip_started.elapsed());
-
-            // --- Verification workload: one PoP per generating validator.
-            if self.config.pop {
-                let verify_started = Instant::now();
-                // The engine's verify phase starts after *all* generation
-                // in the slot: wait until every generating peer announced
-                // its slot-t digest, proving its chain holds its blocks
-                // through t.
-                let all_generators: Vec<NodeId> = {
-                    let roster = self.shared.roster.lock().expect("roster poisoned");
-                    roster
-                        .generators_at(slot)
-                        .into_iter()
-                        .filter(|&p| p != id)
-                        .collect()
-                };
-                if !self.digest_barrier(&all_generators, slot) {
-                    degraded = true;
-                }
-                // Fold this slot's gossip *before* the PoP runs, mirroring
-                // the engine's gossip-then-verify phase order. The order is
-                // load-bearing for parity under ban-inducing adversaries: a
-                // folded digest earns blacklist service (parole) credit and
-                // the PoP below records offenses, so folding after the PoP
-                // would land each ban one slot early relative to the
-                // reference and change which digests the chain accepts from
-                // then on.
-                let fold_started = Instant::now();
-                let mut folded: Vec<(NodeId, Digest)> = Vec::new();
-                for &nb in &neighbors {
-                    let expected = {
-                        let roster = self.shared.roster.lock().expect("roster poisoned");
-                        roster.generates_at(nb, slot)
-                    };
-                    if !expected {
-                        continue;
-                    }
-                    let mut entry = None;
-                    for attempt in 0..2 {
-                        entry = self
-                            .shared
-                            .digests
-                            .lock()
-                            .expect("digests poisoned")
-                            .get(&nb)
-                            .and_then(|per_slot| per_slot.get(&slot))
-                            .copied();
-                        if entry.is_some() || attempt > 0 {
-                            break;
-                        }
-                        // A conflict discard can empty the entry between the
-                        // barrier above and this read; the re-barrier pulls
-                        // the canonical digest back from the peer directly.
-                        if !self.digest_barrier(std::slice::from_ref(&nb), slot) {
-                            break;
-                        }
-                    }
-                    match entry {
-                        Some(d) => folded.push((nb, d)),
-                        None => {
-                            degraded = true;
-                            telemetry.journal.record(
-                                slot,
-                                EventKind::Timeout,
-                                format!("no slot-{slot} digest from {nb} to fold"),
-                            );
-                        }
-                    }
-                }
-                {
-                    let mut node = self.shared.node.write().expect("node lock poisoned");
-                    for (nb, d) in folded {
-                        node.receive_digest(nb, d);
-                    }
-                }
-                {
-                    // Applied entries are spent; this slot's stay buffered
-                    // one more slot as conflict bait for late fakes, older
-                    // ones are pruned so the buffer stays O(lag).
-                    let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-                    for per_slot in buffered.values_mut() {
-                        *per_slot = per_slot.split_off(&slot);
-                    }
-                }
-                telemetry
-                    .phases
-                    .record(Phase::Gossip, fold_started.elapsed());
-                // The engine never makes a malicious node a validator (its
-                // verify phase filters them out), so an active adversary
-                // skips the PoP identically — no target drawn — or the
-                // PoP counters would diverge from the reference run.
-                let target = if behavior_applied {
-                    None
-                } else {
-                    let roster = self.shared.roster.lock().expect("roster poisoned");
-                    let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
-                    wire_pop_target(&roster, id, slot, min_age, &mut target_rng)
-                };
-                if let Some(target) = target {
-                    pop_attempts += 1;
-                    telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
-                    let pop_started = Instant::now();
-                    let report = self.run_wire_pop(slot, target);
-                    telemetry.pop_rtt.record(pop_started.elapsed());
-                    telemetry.merge_pop(&report.metrics);
-                    if report.is_success() {
-                        pop_successes += 1;
-                        telemetry.pop_successes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Pop,
-                        format!(
-                            "verified {target}: {} ({} distinct, {} msgs)",
-                            if report.is_success() { "ok" } else { "failed" },
-                            report.distinct_nodes,
-                            report.metrics.total_messages(),
-                        ),
-                    );
-                    if report.metrics.timeouts > 0 {
-                        telemetry.journal.record(
-                            slot,
-                            EventKind::Timeout,
-                            format!("{} PoP requests timed out", report.metrics.timeouts),
-                        );
-                    }
-                    if report.metrics.pruned_misses > 0 {
-                        telemetry.journal.record(
-                            slot,
-                            EventKind::Pruned,
-                            format!("{} pruned misses during PoP", report.metrics.pruned_misses),
-                        );
-                    }
-                }
-                // Announce slot completion whether or not a target
-                // qualified — peers gate their next slot on it.
-                for (_, addr) in self.generator_addrs(slot) {
-                    let _ = self
-                        .endpoint
-                        .send_control(addr, &Control::SlotDone { slot });
-                }
-                telemetry
-                    .phases
-                    .record(Phase::Verify, verify_started.elapsed());
-            }
-            let retries = self.endpoint.stats().request_retries - retries_before;
-            if retries > 0 {
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Retry,
-                    format!("{retries} request retransmissions"),
-                );
-            }
-            // The slot is fully executed (generated, gossiped, verified):
-            // raise the local watermark and close the latency sample.
-            self.record_slot_committed(slot);
-            self.shared
-                .verified_through
-                .store(slot + 1, Ordering::Relaxed);
-            telemetry.slot_latency.record(slot_begin.elapsed());
-        }
-        Ok(SlotLoopOutcome {
-            degraded,
-            pop_attempts,
-            pop_successes,
-        })
-    }
-
-    /// The epoch-windowed pipeline (`window > 1`, PoP mode): the
-    /// generation half runs up to `window` slots ahead of the roster-wide
-    /// completion low-watermark while a background worker verifies slots
-    /// strictly in order. Horizon-capped child requests
-    /// ([`WireMessage::ReqChildAt`]) keep every PoP exchange identical to
-    /// the lockstep run: a run-ahead responder answers from its store *as
-    /// of the slot under verification*.
-    fn slot_loop_pipelined(
-        &self,
-        start_slot: u64,
-        end_slot: u64,
-        min_age: u64,
-    ) -> Result<SlotLoopOutcome, String> {
+    /// Runs every slot through [`Self::generate_slot`] and
+    /// [`Self::verify_slot`], with one of two drivers:
+    ///
+    /// * `W = 1` (and every non-PoP run): both steps run inline on this
+    ///   thread, so each slot is verified everywhere before the next one
+    ///   is generated;
+    /// * `W > 1`: this thread generates up to `W` slots ahead while a
+    ///   scoped worker verifies slots strictly in order, holding the
+    ///   node's trust state for the whole run.
+    fn slot_loop(&self, start_slot: u64, end_slot: u64) -> Result<SlotLoopOutcome, String> {
+        // The paper's workload default.
+        let min_age = self.config.nodes as u64;
         // Slots before our first are nobody's to verify: a joiner's drain
         // and window gates measure from its own start.
         self.shared
             .verified_through
             .store(start_slot, Ordering::Relaxed);
-        let (gen, verify) = std::thread::scope(|scope| {
-            let worker = scope.spawn(|| self.verify_worker(start_slot, end_slot, min_age));
-            let gen = self.generation_loop(start_slot, end_slot);
-            if gen.is_err() {
-                // The worker must not wait out its timeouts slot by slot
-                // for blocks that will never be generated.
-                self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                self.shared.progress.notify();
-            }
-            (gen, worker.join())
-        });
-        let gen_degraded = gen?;
-        let verify = verify.map_err(|_| "verify worker panicked".to_string())?;
-        Ok(SlotLoopOutcome {
-            degraded: gen_degraded || verify.degraded,
-            pop_attempts: verify.pop_attempts,
-            pop_successes: verify.pop_successes,
-        })
-    }
-
-    /// The pipelined generation half: per-slot work minus verification.
-    /// Returns whether any barrier degraded.
-    fn generation_loop(&self, start_slot: u64, end_slot: u64) -> Result<bool, String> {
-        let id = self.config.id;
-        let seed = self.config.seed;
-        let window = self.config.window;
-        let mut degraded = false;
-        let mut applied_joins: HashSet<NodeId> =
-            (0..self.config.nodes as u32).map(NodeId).collect();
-        let mut applied_leaves: HashSet<NodeId> = HashSet::new();
-        let mut behavior_applied = false;
-        let telemetry = &self.shared.telemetry;
-        for slot in start_slot..end_slot {
-            self.shared.current_slot.store(slot, Ordering::Relaxed);
-            telemetry
-                .journal
-                .record(slot, EventKind::SlotStart, format!("slot {slot} begins"));
-            if !behavior_applied && self.adversary_active(slot) {
-                behavior_applied = true;
-                if self.config.behavior == Behavior::Flapper {
-                    // The verify worker must not wait out timeouts for
-                    // slots the flapper will never generate.
-                    self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                    self.shared.progress.notify();
-                    self.flap_phase(slot);
+        let mut gen = Generation {
+            applied_joins: (0..self.config.nodes as u32).map(NodeId).collect(),
+            applied_leaves: HashSet::new(),
+            behavior_applied: false,
+            degraded: false,
+        };
+        let generate = |gen: &mut Generation,
+                        mut inline: Option<&mut SlotLoopOutcome>|
+         -> Result<(), String> {
+            for slot in start_slot..end_slot {
+                let retries_before = self.endpoint.stats().request_retries;
+                if !self.generate_slot(slot, start_slot, gen)? {
                     break;
                 }
-                self.activate_behavior(slot);
-            }
-            self.shared
-                .slot_started
-                .lock()
-                .expect("slot started poisoned")
-                .insert(slot, Instant::now());
-            let retries_before = self.endpoint.stats().request_retries;
-            // Membership mutates the topology and neighbor set the verify
-            // worker reads; drain the pipeline to the boundary first so
-            // every slot before the change is verified under the graph it
-            // was generated under.
-            if self.membership_pending(slot, &applied_joins, &applied_leaves) {
-                if !self.wait_verified_through(slot) {
-                    degraded = true;
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Timeout,
-                        format!("pipeline drain before membership at slot {slot} timed out"),
-                    );
+                if let Some(outcome) = inline.as_deref_mut() {
+                    self.verify_slot(slot, min_age, outcome, None);
                 }
-                self.apply_membership(slot, &mut applied_joins, &mut applied_leaves);
-            }
-            let neighbors: Vec<NodeId> = self
-                .shared
-                .topology
-                .read()
-                .expect("topology poisoned")
-                .neighbors(id)
-                .to_vec();
-
-            let exchange_started = Instant::now();
-            // Data dependency (same as lockstep): our slot-t block embeds
-            // the neighbors' slot-(t-1) digests.
-            if slot > start_slot && !self.digest_barrier(&neighbors, slot - 1) {
-                degraded = true;
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("digest barrier for slot {} timed out", slot - 1),
-                );
-            }
-            // Window gate: generation may run at most `window` slots ahead
-            // of the cluster's completion low-watermark and of our own
-            // verify worker. With W = 1 this would degenerate to the
-            // lockstep done barrier.
-            if slot >= start_slot + window {
-                let floor = slot - window;
-                if !self.done_barrier(floor) {
-                    degraded = true;
-                    telemetry.journal.record(
+                let retries = self.endpoint.stats().request_retries - retries_before;
+                if retries > 0 {
+                    self.shared.telemetry.journal.record(
                         slot,
-                        EventKind::Timeout,
-                        format!("window gate: done barrier for slot {floor} timed out"),
-                    );
-                }
-                if !self.wait_verified_through(floor + 1) {
-                    degraded = true;
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Timeout,
-                        format!("window gate: own verification of slot {floor} timed out"),
+                        EventKind::Retry,
+                        format!("{retries} request retransmissions"),
                     );
                 }
             }
-            telemetry
-                .phases
-                .record(Phase::Exchange, exchange_started.elapsed());
-
-            // --- Apply gossip and generate, mirroring the engine's phases.
-            let generate_started = Instant::now();
-            let (digest, equivocation) = {
-                let mut node = self.shared.node.write().expect("node lock poisoned");
-                node.begin_slot();
-                if slot > start_slot {
-                    let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-                    for &nb in &neighbors {
-                        let latest = buffered
-                            .get(&nb)
-                            .and_then(|per_slot| per_slot.range(..slot).next_back())
-                            .map(|(_, &d)| d);
-                        if let Some(d) = latest {
-                            node.receive_digest(nb, d);
-                        }
-                    }
-                    // Unlike lockstep, the verify worker still reads digest
-                    // *presence* up to `window` slots back — prune to the
-                    // window floor, not to slot-1.
-                    for per_slot in buffered.values_mut() {
-                        *per_slot = per_slot.split_off(&slot.saturating_sub(window));
-                    }
-                }
-                let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
-                let payload = sensor_payload(&mut rng, id, slot);
-                let (block, digest) = node
-                    .generate_block(&self.cfg, slot, payload)
-                    .map_err(|e| format!("generation failed at slot {slot}: {e}"))?;
-                telemetry
-                    .phases
-                    .record(Phase::Generate, generate_started.elapsed());
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Generate,
-                    format!("generated block #{}", node.chain_len() - 1),
-                );
-                // PerSlot durability: the engine's slot-boundary commit point.
-                let sync_started = Instant::now();
-                node.store_mut()
-                    .sync()
-                    .map_err(|e| format!("sync failed at slot {slot}: {e}"))?;
-                let synced = sync_started.elapsed();
-                telemetry.fsync.record(synced);
-                telemetry.phases.record(Phase::Commit, synced);
-                let equivocation = (behavior_applied
-                    && self.config.behavior == Behavior::Equivocate)
-                    .then(|| (block.id, block.header.digests.clone()));
-                (digest, equivocation)
-            };
-            let gossip_started = Instant::now();
-            {
-                let mut own = self
-                    .shared
-                    .own_digests
-                    .lock()
-                    .expect("own digests poisoned");
-                own.insert(slot, digest);
-                // Peers can lag at most one window, but a late joiner's
-                // catch-up pull may reach further back; 64 slots of
-                // 32-byte history is cheap insurance.
-                *own = own.split_off(&slot.saturating_sub(64));
-            }
-            let prefix = digest_prefix(&digest);
-            record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
-            // The verify worker may be parked on this very digest.
-            self.shared.progress.notify();
-            // PoP mode: every generating peer consumes the digest.
-            let trace_ctx = self.gossip_trace_ctx(slot, prefix);
-            let gossip_targets = self.generator_addrs(slot);
-            for (_, addr) in &gossip_targets {
-                let _ = self.endpoint.send_control_traced(
-                    *addr,
-                    &Control::SlotDigest { slot, digest },
-                    trace_ctx,
-                );
-            }
-            if !gossip_targets.is_empty() {
-                record_span(
-                    &self.shared,
-                    id.0,
-                    slot,
-                    id.0,
-                    prefix,
-                    SpanKind::GossipedOut,
-                );
-            }
-            if behavior_applied {
-                self.adversary_gossip(slot, digest, equivocation, &gossip_targets);
-            }
-            telemetry
-                .phases
-                .record(Phase::Gossip, gossip_started.elapsed());
-            let retries = self.endpoint.stats().request_retries - retries_before;
-            if retries > 0 {
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Retry,
-                    format!("{retries} request retransmissions"),
-                );
-            }
+            Ok(())
+        };
+        if self.config.window == 1 {
+            let mut outcome = SlotLoopOutcome::default();
+            generate(&mut gen, Some(&mut outcome))?;
+            outcome.degraded |= gen.degraded;
+            return Ok(outcome);
         }
-        Ok(degraded)
+
+        // Taken before the worker starts, so every generate-time fold of
+        // the run sees the same (empty) blacklist.
+        let trust = self.take_trust();
+        let (generated, verified) = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let mut trust = trust;
+                let mut outcome = SlotLoopOutcome::default();
+                for slot in start_slot..end_slot {
+                    // Our own slot-`slot` block must exist before the PoP
+                    // scans.
+                    if self.shared.pipeline_abort.load(Ordering::Relaxed)
+                        || !self.wait_own_generated(slot)
+                    {
+                        outcome.degraded = true;
+                        break;
+                    }
+                    self.verify_slot(slot, min_age, &mut outcome, Some(&mut trust));
+                }
+                if outcome.degraded {
+                    // Free the generation half from its window-gate waits.
+                    self.abort_pipeline();
+                }
+                (outcome, trust)
+            });
+            let generated = generate(&mut gen, None);
+            if generated.is_err() {
+                // The worker must not wait out its timeouts slot by slot
+                // for blocks that will never be generated.
+                self.abort_pipeline();
+            }
+            (generated, worker.join())
+        });
+        let (mut outcome, trust) = verified.map_err(|_| "verify worker panicked".to_string())?;
+        self.restore_trust(trust);
+        generated?;
+        outcome.degraded |= gen.degraded;
+        Ok(outcome)
     }
 
-    /// The pipelined verify worker: verifies slots strictly in order,
-    /// mirroring the lockstep loop's PoP section exactly — same barrier,
-    /// same derived randomness, same target choice — with every child
-    /// lookup horizon-capped at the slot under verification.
-    fn verify_worker(&self, start_slot: u64, end_slot: u64, min_age: u64) -> SlotLoopOutcome {
+    /// One slot's generation step, shared by both drivers: membership
+    /// (after draining the pipeline to the boundary), the digest barrier
+    /// and window gate, the block with its commit, and the digest gossip.
+    /// Returns `Ok(false)` when the node turned flapper and went dark
+    /// instead, which ends the driver's loop.
+    fn generate_slot(
+        &self,
+        slot: u64,
+        start_slot: u64,
+        gen: &mut Generation,
+    ) -> Result<bool, String> {
         let id = self.config.id;
-        let seed = self.config.seed;
+        let window = self.config.window;
         let telemetry = &self.shared.telemetry;
-        let mut outcome = SlotLoopOutcome {
-            degraded: false,
-            pop_attempts: 0,
-            pop_successes: 0,
-        };
-        // The worker owns the node's trust state for the whole run (the
-        // generation half never reads it), returning it at the end.
-        let (mut trust_cache, mut blacklist) = {
+        self.shared.current_slot.store(slot, Ordering::Relaxed);
+        telemetry
+            .journal
+            .record(slot, EventKind::SlotStart, format!("slot {slot} begins"));
+        self.shared
+            .slot_started
+            .lock()
+            .expect("slot started poisoned")
+            .insert(slot, Instant::now());
+        if !gen.behavior_applied && self.adversary_active(slot) {
+            gen.behavior_applied = true;
+            if self.config.behavior == Behavior::Flapper {
+                // A verify worker must not wait out timeouts for slots the
+                // flapper will never generate.
+                self.abort_pipeline();
+                self.flap_phase(slot);
+                return Ok(false);
+            }
+            self.activate_behavior(slot);
+        }
+        self.apply_membership(slot, gen);
+        let neighbors: Vec<NodeId> = self
+            .shared
+            .topology
+            .read()
+            .expect("topology poisoned")
+            .neighbors(id)
+            .to_vec();
+
+        // --- Digest barrier: our slot-t block embeds the slot-(t-1) digest
+        // of every neighbor that generated then. The barrier waits are the
+        // wire's cross-shard exchange.
+        let exchange_started = Instant::now();
+        if slot > start_slot && !self.digest_barrier(&neighbors, slot - 1) {
+            gen.degraded = true;
+            self.journal_timeout(slot, format!("digest barrier for slot {}", slot - 1));
+        }
+        // --- Window gate (PoP mode only): generation runs at most `window`
+        // slots ahead of the cluster's completion low-watermark and of our
+        // own verification. At W = 1 this is lockstep, the engine's phase
+        // order: every peer verified slot t-1 before anyone generates t.
+        if self.config.pop && slot >= start_slot + window {
+            let floor = slot - window;
+            if !self.done_barrier(floor) {
+                gen.degraded = true;
+                self.journal_timeout(slot, format!("done barrier for slot {floor}"));
+            }
+            if !self.wait_verified_through(floor + 1) {
+                gen.degraded = true;
+                self.journal_timeout(slot, format!("own verification of slot {floor}"));
+            }
+        }
+        telemetry
+            .phases
+            .record(Phase::Exchange, exchange_started.elapsed());
+
+        // --- Apply gossip and generate, mirroring the engine's phases.
+        let generate_started = Instant::now();
+        let (digest, equivocation) = {
             let mut node = self.shared.node.write().expect("node lock poisoned");
-            (node.take_trust_cache(), node.take_blacklist(&self.cfg))
+            node.begin_slot();
+            if slot > start_slot && !self.folds_before_pop() {
+                let mut buffered = self.shared.digests.lock().expect("digests poisoned");
+                for &nb in &neighbors {
+                    let latest = buffered
+                        .get(&nb)
+                        .and_then(|per_slot| per_slot.range(..slot).next_back())
+                        .map(|(_, &d)| d);
+                    if let Some(d) = latest {
+                        node.receive_digest(nb, d);
+                    }
+                }
+                // Applied digests are spent. A verify worker still reads
+                // digest *presence* up to `window` slots back, so the
+                // buffer keeps that many and stays O(lag), not O(slots).
+                for per_slot in buffered.values_mut() {
+                    *per_slot = per_slot.split_off(&slot.saturating_sub(window));
+                }
+            }
+            let mut rng = derived_rng(self.config.seed, stream::GENERATE, slot, id);
+            let payload = sensor_payload(&mut rng, id, slot);
+            let (block, digest) = node
+                .generate_block(&self.cfg, slot, payload)
+                .map_err(|e| format!("generation failed at slot {slot}: {e}"))?;
+            telemetry
+                .phases
+                .record(Phase::Generate, generate_started.elapsed());
+            telemetry.journal.record(
+                slot,
+                EventKind::Generate,
+                format!("generated block #{}", node.chain_len() - 1),
+            );
+            // PerSlot durability: the engine's slot-boundary commit point.
+            let sync_started = Instant::now();
+            node.store_mut()
+                .sync()
+                .map_err(|e| format!("sync failed at slot {slot}: {e}"))?;
+            let synced = sync_started.elapsed();
+            telemetry.fsync.record(synced);
+            telemetry.phases.record(Phase::Commit, synced);
+            let equivocation = (gen.behavior_applied
+                && self.config.behavior == Behavior::Equivocate)
+                .then(|| (block.id, block.header.digests.clone()));
+            (digest, equivocation)
         };
-        for slot in start_slot..end_slot {
-            if self.shared.pipeline_abort.load(Ordering::Relaxed) {
-                outcome.degraded = true;
-                break;
-            }
-            // Our own slot-`slot` block must exist before the PoP scans.
-            if !self.wait_own_generated(slot) {
-                outcome.degraded = true;
-                break;
-            }
+        let gossip_started = Instant::now();
+        {
+            let mut own = self
+                .shared
+                .own_digests
+                .lock()
+                .expect("own digests poisoned");
+            own.insert(slot, digest);
+            // Peers can lag at most one window, but a late joiner's
+            // catch-up pull may reach further back; 64 slots of 32-byte
+            // history is cheap insurance.
+            *own = own.split_off(&slot.saturating_sub(64));
+        }
+        let prefix = digest_prefix(&digest);
+        record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
+        // A verify worker may be parked on this very digest.
+        self.shared.progress.notify();
+        // PoP walks the whole DAG, so in PoP mode every generating peer
+        // needs the digest; without PoP only neighbors consume it.
+        let gossip_targets: Vec<(NodeId, SocketAddr)> = if self.config.pop {
+            self.generator_addrs(slot)
+        } else {
+            neighbors
+                .iter()
+                .filter_map(|&nb| self.peers.addr(nb).map(|a| (nb, a)))
+                .collect()
+        };
+        let trace_ctx = self.gossip_trace_ctx(slot, prefix);
+        for (_, addr) in &gossip_targets {
+            let _ = self.endpoint.send_control_traced(
+                *addr,
+                &Control::SlotDigest { slot, digest },
+                trace_ctx,
+            );
+        }
+        if !gossip_targets.is_empty() {
+            record_span(
+                &self.shared,
+                id.0,
+                slot,
+                id.0,
+                prefix,
+                SpanKind::GossipedOut,
+            );
+        }
+        if gen.behavior_applied {
+            self.adversary_gossip(slot, digest, equivocation, &gossip_targets);
+        }
+        telemetry
+            .phases
+            .record(Phase::Gossip, gossip_started.elapsed());
+        Ok(true)
+    }
+
+    /// One slot's verify step, shared by both drivers. In PoP mode: wait
+    /// for every generator's slot digest, fold this slot's gossip (W = 1
+    /// only, see [`Self::folds_before_pop`]), run one PoP as validator and
+    /// announce [`Control::SlotDone`]. Then the slot's local commit point:
+    /// committed spans, the verify watermark, and the slot-latency sample
+    /// (from the slot's `SlotStart` event to here). `trust` is the trust
+    /// state a verify worker holds for the whole run; `None` takes the
+    /// node's own around the PoP.
+    fn verify_slot(
+        &self,
+        slot: u64,
+        min_age: u64,
+        outcome: &mut SlotLoopOutcome,
+        trust: Option<&mut TrustState>,
+    ) {
+        let id = self.config.id;
+        let telemetry = &self.shared.telemetry;
+        if self.config.pop {
             let verify_started = Instant::now();
             // The engine's verify phase starts after *all* generation in
-            // the slot (same barrier as the lockstep loop).
+            // the slot: wait until every generating peer announced its
+            // slot-t digest, proving its chain holds its blocks through t.
             let all_generators: Vec<NodeId> = {
                 let roster = self.shared.roster.lock().expect("roster poisoned");
                 roster
@@ -1489,24 +1163,25 @@ need --join)",
             if !self.digest_barrier(&all_generators, slot) {
                 outcome.degraded = true;
             }
-            // Active adversaries skip the validator role, mirroring the
-            // engine's verify-phase filter (see the lockstep loop).
+            if self.folds_before_pop() && !self.fold_slot_digests(slot) {
+                outcome.degraded = true;
+            }
+            // The engine never makes a malicious node a validator (its
+            // verify phase filters them out), so an active adversary
+            // skips the PoP identically — no target drawn — or the PoP
+            // counters would diverge from the reference run.
             let target = if self.adversary_active(slot) {
                 None
             } else {
                 let roster = self.shared.roster.lock().expect("roster poisoned");
-                let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
+                let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
                 wire_pop_target(&roster, id, slot, min_age, &mut target_rng)
             };
             if let Some(target) = target {
                 outcome.pop_attempts += 1;
                 telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
                 let pop_started = Instant::now();
-                let report =
-                    self.run_pop_with(slot, target, &mut trust_cache, &mut blacklist, Some(slot));
-                self.shared
-                    .blacklist_banned
-                    .store(blacklist.banned_count() as u64, Ordering::Relaxed);
+                let report = self.run_pop(slot, target, trust);
                 telemetry.pop_rtt.record(pop_started.elapsed());
                 telemetry.merge_pop(&report.metrics);
                 if report.is_success() {
@@ -1538,65 +1213,180 @@ need --join)",
                     );
                 }
             }
-            // Slot completed (generated *and* verified): announce, raise
-            // the local watermark, close the latency sample.
+            // Announce slot completion whether or not a target qualified:
+            // peers gate their window on it.
             for (_, addr) in self.generator_addrs(slot) {
                 let _ = self
                     .endpoint
                     .send_control(addr, &Control::SlotDone { slot });
             }
-            self.record_slot_committed(slot);
-            self.shared
-                .verified_through
-                .store(slot + 1, Ordering::Relaxed);
-            self.shared.progress.notify();
-            let started = self
-                .shared
-                .slot_started
-                .lock()
-                .expect("slot started poisoned")
-                .remove(&slot);
-            if let Some(started) = started {
-                telemetry.slot_latency.record(started.elapsed());
-            }
             telemetry
                 .phases
                 .record(Phase::Verify, verify_started.elapsed());
         }
-        if outcome.degraded {
-            // Free the generation half from its window-gate waits.
-            self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-            self.shared.progress.notify();
+        self.record_slot_committed(slot);
+        self.shared
+            .verified_through
+            .store(slot + 1, Ordering::Relaxed);
+        self.shared.progress.notify();
+        let started = self
+            .shared
+            .slot_started
+            .lock()
+            .expect("slot started poisoned")
+            .remove(&slot);
+        if let Some(started) = started {
+            telemetry.slot_latency.record(started.elapsed());
         }
+    }
+
+    /// Where this run folds neighbor digests into `A_i`: `true` in the
+    /// verify step right before the PoP (lockstep PoP runs), `false` in
+    /// the generate step (non-PoP and pipelined runs).
+    ///
+    /// In lockstep the order is load-bearing for parity under
+    /// ban-inducing adversaries: the engine's slot is gossip-then-verify,
+    /// a folded digest earns blacklist service (parole) credit and the PoP
+    /// records offenses, so folding one phase later would land each ban a
+    /// slot early against the reference. A pipelined run cannot fold
+    /// there — generation is up to `W` slots ahead of verification — and
+    /// its worker holds the blacklist, so its folds see an empty one and
+    /// bans never gate digests: the ban lag that keeps
+    /// [`crate::harness::run_cluster`] from combining `W > 1` with
+    /// adversaries.
+    fn folds_before_pop(&self) -> bool {
+        self.config.pop && self.config.window == 1
+    }
+
+    /// The verify-time fold: applies every neighbor's slot-`slot` digest
+    /// to `A_i`, re-pulling one whose entry a conflict discard emptied,
+    /// then prunes the buffer to this slot. Returns `false` when a
+    /// neighbor's digest could not be had.
+    fn fold_slot_digests(&self, slot: u64) -> bool {
+        let fold_started = Instant::now();
+        let neighbors: Vec<NodeId> = self
+            .shared
+            .topology
+            .read()
+            .expect("topology poisoned")
+            .neighbors(self.config.id)
+            .to_vec();
+        let mut complete = true;
+        let mut folded: Vec<(NodeId, Digest)> = Vec::new();
+        for nb in neighbors {
+            let expected = {
+                let roster = self.shared.roster.lock().expect("roster poisoned");
+                roster.generates_at(nb, slot)
+            };
+            if !expected {
+                continue;
+            }
+            let mut entry = None;
+            for attempt in 0..2 {
+                entry = self
+                    .shared
+                    .digests
+                    .lock()
+                    .expect("digests poisoned")
+                    .get(&nb)
+                    .and_then(|per_slot| per_slot.get(&slot))
+                    .copied();
+                if entry.is_some() || attempt > 0 {
+                    break;
+                }
+                // A conflict discard can empty the entry between the
+                // barrier and this read; the re-barrier pulls the
+                // canonical digest back from the peer directly.
+                if !self.digest_barrier(std::slice::from_ref(&nb), slot) {
+                    break;
+                }
+            }
+            match entry {
+                Some(d) => folded.push((nb, d)),
+                None => {
+                    complete = false;
+                    self.journal_timeout(slot, format!("slot-{slot} digest fold from {nb}"));
+                }
+            }
+        }
+        {
+            let mut node = self.shared.node.write().expect("node lock poisoned");
+            for (nb, d) in folded {
+                node.receive_digest(nb, d);
+            }
+        }
+        {
+            // Applied entries are spent; this slot's stay buffered one more
+            // slot as conflict bait for late fakes, older ones are pruned
+            // so the buffer stays O(lag).
+            let mut buffered = self.shared.digests.lock().expect("digests poisoned");
+            for per_slot in buffered.values_mut() {
+                *per_slot = per_slot.split_off(&slot);
+            }
+        }
+        self.shared
+            .telemetry
+            .phases
+            .record(Phase::Gossip, fold_started.elapsed());
+        complete
+    }
+
+    /// Journals that a wait for `what` timed out at `slot`.
+    fn journal_timeout(&self, slot: u64, what: String) {
+        self.shared
+            .telemetry
+            .journal
+            .record(slot, EventKind::Timeout, format!("{what} timed out"));
+    }
+
+    /// Stops a pipelined run's other half: every wait returns at once.
+    fn abort_pipeline(&self) {
+        self.shared.pipeline_abort.store(true, Ordering::Relaxed);
+        self.shared.progress.notify();
+    }
+
+    /// Takes the node's PoP trust state out for a validator to hold.
+    fn take_trust(&self) -> TrustState {
+        let mut node = self.shared.node.write().expect("node lock poisoned");
+        (node.take_trust_cache(), node.take_blacklist(&self.cfg))
+    }
+
+    /// Hands trust state taken with [`Self::take_trust`] back to the node.
+    fn restore_trust(&self, (trust_cache, blacklist): TrustState) {
         let mut node = self.shared.node.write().expect("node lock poisoned");
         node.restore_trust_cache(trust_cache);
         node.restore_blacklist(blacklist);
-        outcome
     }
 
-    /// True when a roster membership event at or before `slot` has not yet
-    /// been folded into the local topology.
-    fn membership_pending(
-        &self,
-        slot: u64,
-        applied_joins: &HashSet<NodeId>,
-        applied_leaves: &HashSet<NodeId>,
-    ) -> bool {
+    /// Membership events effective at or before `slot` that the local
+    /// topology has not folded in yet: `(leaves, joins)`.
+    fn pending_membership(&self, slot: u64, gen: &Generation) -> (Vec<NodeId>, Vec<NodeId>) {
         let roster = self.shared.roster.lock().expect("roster poisoned");
-        let pending = roster.entries().any(|(p, m)| {
-            (m.leave_slot.is_some_and(|l| l <= slot) && !applied_leaves.contains(&p))
-                || (m.join_slot <= slot && !applied_joins.contains(&p))
-        });
-        pending
+        let leaves = roster
+            .entries()
+            .filter(|(p, m)| {
+                m.leave_slot.is_some_and(|l| l <= slot) && !gen.applied_leaves.contains(p)
+            })
+            .map(|(p, _)| p)
+            .collect();
+        let joins = roster
+            .entries()
+            .filter(|(p, m)| m.join_slot <= slot && !gen.applied_joins.contains(p))
+            .map(|(p, _)| p)
+            .collect();
+        (leaves, joins)
     }
 
     /// One barrier wait quantum, after the caller took the progress
-    /// snapshot `seen` and then found its predicate false. Lockstep keeps
-    /// the seed's 5 ms sleep (its timing is the baseline the saturation
-    /// benchmark measures against); the pipeline parks on the progress
-    /// signal instead, so a blocked loop burns no syscall churn and wakes
-    /// the moment the dispatcher hears news — including news that arrived
-    /// after the predicate check.
+    /// snapshot `seen` and then found its predicate false. The pipeline
+    /// parks on the progress signal, so a blocked loop burns no syscall
+    /// churn and wakes the moment the dispatcher hears news — including
+    /// news that arrived after the predicate check. Lockstep still sleeps
+    /// 5 ms quanta, which bound its throughput: parking it the same way
+    /// sped it up roughly ninefold but pushed the `wire-lockstep`
+    /// benchmark's `peak_rss_mb` past its bound (the benchmark keeps every
+    /// pass's samples, and a faster loop fits more passes into a run), so
+    /// the switch waits for a benchmark that bounds what a pass retains.
     fn barrier_pause(&self, seen: u64) {
         if self.config.window > 1 {
             self.shared
@@ -1940,32 +1730,25 @@ need --join)",
     /// the departed peer's digest from `A_i`), then joins ascending (wire
     /// the newcomer's radio links at its deterministic join site) — the
     /// canonical order shared with the harness's reference replay.
-    fn apply_membership(
-        &self,
-        slot: u64,
-        applied_joins: &mut HashSet<NodeId>,
-        applied_leaves: &mut HashSet<NodeId>,
-    ) {
+    ///
+    /// A verify worker reads the topology and neighbor set, so when an
+    /// event is pending the pipeline first drains to the boundary: every
+    /// slot before the change is verified under the graph it was
+    /// generated under. (In lockstep the drain is already complete.)
+    fn apply_membership(&self, slot: u64, gen: &mut Generation) {
         let me = self.config.id;
-        let (pending_leaves, pending_joins) = {
-            let roster = self.shared.roster.lock().expect("roster poisoned");
-            let leaves: Vec<NodeId> = roster
-                .entries()
-                .filter(|(p, m)| {
-                    m.leave_slot.is_some_and(|l| l <= slot) && !applied_leaves.contains(p)
-                })
-                .map(|(p, _)| p)
-                .collect();
-            let joins: Vec<NodeId> = roster
-                .entries()
-                .filter(|(p, m)| m.join_slot <= slot && !applied_joins.contains(p))
-                .map(|(p, _)| p)
-                .collect();
-            (leaves, joins)
-        };
-        if pending_leaves.is_empty() && pending_joins.is_empty() {
+        let (leaves, joins) = self.pending_membership(slot, gen);
+        if leaves.is_empty() && joins.is_empty() {
             return;
         }
+        if !self.wait_verified_through(slot) {
+            gen.degraded = true;
+            self.journal_timeout(
+                slot,
+                format!("pipeline drain before membership at slot {slot}"),
+            );
+        }
+        let (pending_leaves, pending_joins) = self.pending_membership(slot, gen);
         let mut topology = self.shared.topology.write().expect("topology poisoned");
         let mut node = self.shared.node.write().expect("node lock poisoned");
         for peer in pending_leaves {
@@ -1974,7 +1757,7 @@ need --join)",
                 EventKind::Membership,
                 format!("{peer} left; links cut at slot {slot}"),
             );
-            applied_leaves.insert(peer);
+            gen.applied_leaves.insert(peer);
             if peer.index() < topology.len() {
                 topology.isolate_node(peer);
             }
@@ -2009,7 +1792,7 @@ need --join)",
                 EventKind::Membership,
                 format!("{peer} joined; links wired at slot {slot}"),
             );
-            applied_joins.insert(peer);
+            gen.applied_joins.insert(peer);
             if peer == me {
                 for nb in topology.neighbors(me).to_vec() {
                     node.add_neighbor(nb);
@@ -2298,37 +2081,20 @@ need --join)",
     }
 
     /// One PoP verification of `target` over the wire, with the engine's
-    /// derived randomness for this `(slot, validator)`.
-    fn run_wire_pop(&self, slot: u64, target: BlockId) -> PopReport {
-        let (mut trust_cache, mut blacklist) = {
-            let mut node = self.shared.node.write().expect("node lock poisoned");
-            (node.take_trust_cache(), node.take_blacklist(&self.cfg))
+    /// derived randomness for this `(slot, validator)`, always
+    /// horizon-capped at `slot`: every child lookup, the validator's own
+    /// and the wire's, sees only blocks generated by `slot`. That makes a
+    /// pipelined walk identical to a lockstep one while generation keeps
+    /// appending, and is a no-op in lockstep, where nobody is past `slot`.
+    /// `trust` is the trust state a verify worker holds; `None` takes the
+    /// node's own for the duration of the walk.
+    fn run_pop(&self, slot: u64, target: BlockId, trust: Option<&mut TrustState>) -> PopReport {
+        let Some((trust_cache, blacklist)) = trust else {
+            let mut trust = self.take_trust();
+            let report = self.run_pop(slot, target, Some(&mut trust));
+            self.restore_trust(trust);
+            return report;
         };
-        let report = self.run_pop_with(slot, target, &mut trust_cache, &mut blacklist, None);
-        self.shared
-            .blacklist_banned
-            .store(blacklist.banned_count() as u64, Ordering::Relaxed);
-        let mut node = self.shared.node.write().expect("node lock poisoned");
-        node.restore_trust_cache(trust_cache);
-        node.restore_blacklist(blacklist);
-        report
-    }
-
-    /// Runs one PoP with caller-held trust state. `horizon: None` is the
-    /// lockstep path: the validator reads its store under a read lock held
-    /// for the whole walk (nobody appends mid-slot). `Some(v)` is the
-    /// pipelined path: the generation half keeps appending while the walk
-    /// runs, so the validator reads through [`PipelinedStore`] (a fresh
-    /// read lock per call) and caps every child lookup — its own and the
-    /// wire's — at slot `v`, which makes the view identical to lockstep's.
-    fn run_pop_with(
-        &self,
-        slot: u64,
-        target: BlockId,
-        trust_cache: &mut TrustCache,
-        blacklist: &mut Blacklist,
-        horizon: Option<u64>,
-    ) -> PopReport {
         // Read locks: the dispatcher keeps serving peers' requests
         // concurrently, so symmetric cross-verification cannot deadlock;
         // the topology is only written at slot boundaries (with the
@@ -2338,7 +2104,7 @@ need --join)",
         let mut transport = NetPopTransport {
             endpoint: &self.endpoint,
             peers: &self.peers,
-            horizon,
+            horizon: slot,
             spans: self
                 .shared
                 .telemetry
@@ -2346,37 +2112,24 @@ need --join)",
                 .is_enabled()
                 .then_some(&self.shared.telemetry.spans),
         };
-        match horizon {
-            None => {
-                let node = self.shared.node.read().expect("node lock poisoned");
-                let mut validator = Validator::new(
-                    &self.cfg,
-                    &topology,
-                    self.config.id,
-                    node.store(),
-                    trust_cache,
-                    blacklist,
-                    &mut pop_rng,
-                );
-                validator.run(target, &mut transport)
-            }
-            Some(h) => {
-                let store = PipelinedStore {
-                    node: &self.shared.node,
-                };
-                let mut validator = Validator::new(
-                    &self.cfg,
-                    &topology,
-                    self.config.id,
-                    &store,
-                    trust_cache,
-                    blacklist,
-                    &mut pop_rng,
-                )
-                .with_horizon(h);
-                validator.run(target, &mut transport)
-            }
-        }
+        let store = LiveStore {
+            node: &self.shared.node,
+        };
+        let report = Validator::new(
+            &self.cfg,
+            &topology,
+            self.config.id,
+            &store,
+            trust_cache,
+            blacklist,
+            &mut pop_rng,
+        )
+        .with_horizon(slot)
+        .run(target, &mut transport);
+        self.shared
+            .blacklist_banned
+            .store(blacklist.banned_count() as u64, Ordering::Relaxed);
+        report
     }
 
     /// Reports to the controller (until acked) or lingers serving peers,
@@ -2897,31 +2650,31 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
     }
 }
 
-/// [`BlockBackend`] view over the live node for the pipelined validator:
-/// every call takes a fresh read lock, so the verify worker never holds
-/// the node lock across PoP network I/O (which would stall the generation
-/// half's writes for a whole round-trip). Horizon capping makes the walk
-/// insensitive to blocks appended between calls — every lookup the
-/// validator performs is filtered to `header.time <= horizon`, and the
-/// store below an already-generated slot never changes.
-struct PipelinedStore<'a> {
+/// [`BlockBackend`] view over the live node for the validator: every call
+/// takes a fresh read lock, so a PoP never holds the node lock across its
+/// network I/O (which would stall a generation step's writes for a whole
+/// round-trip). Horizon capping makes the walk insensitive to blocks
+/// appended between calls — every lookup the validator performs is
+/// filtered to `header.time <= horizon`, and the store below an
+/// already-generated slot never changes.
+struct LiveStore<'a> {
     node: &'a RwLock<LedgerNode>,
 }
 
-impl PipelinedStore<'_> {
+impl LiveStore<'_> {
     fn with<T>(&self, f: impl FnOnce(&dyn BlockBackend) -> T) -> T {
         let node = self.node.read().expect("node lock poisoned");
         f(node.store())
     }
 }
 
-impl fmt::Debug for PipelinedStore<'_> {
+impl fmt::Debug for LiveStore<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("PipelinedStore")
+        f.write_str("LiveStore")
     }
 }
 
-impl BlockBackend for PipelinedStore<'_> {
+impl BlockBackend for LiveStore<'_> {
     fn append(&mut self, _block: DataBlock) -> Result<(), TldagError> {
         unreachable!("the validator never appends")
     }
@@ -2967,6 +2720,19 @@ fn mark_done(shared: &Shared, peer: NodeId, slot: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_without_pop_is_rejected() {
+        let listen = "127.0.0.1:0".parse().expect("addr");
+        let mut config = NetNodeConfig::new(NodeId(0), listen, 1, 1, 4);
+        config.window = 4;
+        let Err(err) = NetNode::new(config.clone()) else {
+            panic!("W > 1 needs PoP")
+        };
+        assert!(err.contains("--window needs --pop"), "{err}");
+        config.pop = true;
+        assert!(NetNode::new(config).is_ok(), "W = 4 with PoP is valid");
+    }
 
     #[test]
     fn progress_bump_after_snapshot_wakes_at_once() {

@@ -10,23 +10,12 @@ use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
 use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
+use tldag_net::harness::{loopback_addrs, replay_reference_schedule};
 use tldag_net::runtime::{deployment_protocol_config, deployment_topology, NodeOutcome};
 use tldag_net::{AdversaryPlacement, NetNode, NetNodeConfig};
 use tldag_obs::http_get;
 use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::NodeId;
-
-/// Binds-and-releases `n` loopback UDP ports.
-fn discover_ports(n: usize) -> Vec<SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
 
 /// Binds-and-releases a loopback TCP port (for a metrics listener).
 fn discover_tcp_port() -> SocketAddr {
@@ -119,7 +108,7 @@ fn equivocator_is_detected_and_honest_parity_holds() {
     // perturb (the adversary's canonical chain stays conformant).
     let seed = 41_007;
     let slots = 9;
-    let addrs = discover_ports(4);
+    let addrs = loopback_addrs(4).expect("loopback probe sockets");
     let placements = [AdversaryPlacement {
         node: NodeId(3),
         behavior: Behavior::Equivocate,
@@ -178,7 +167,7 @@ fn digest_liar_is_named_in_the_journal() {
     // where the liar sits in the radio topology.
     let seed = 52_118;
     let slots = 8;
-    let addrs = discover_ports(4);
+    let addrs = loopback_addrs(4).expect("loopback probe sockets");
     let metrics_addr = discover_tcp_port();
     let placements = [AdversaryPlacement {
         node: NodeId(3),
@@ -259,7 +248,7 @@ fn digest_liar_is_named_in_the_journal() {
 /// verdict scopes to the honest subset.
 fn flapper_run(seed: u64, window: u64, pop: bool) {
     let slots = 9;
-    let addrs = discover_ports(4);
+    let addrs = loopback_addrs(4).expect("loopback probe sockets");
     let configs: Vec<NetNodeConfig> = (0..4u32)
         .map(|id| {
             let mut c = founder_config(id, &addrs, 4, seed, slots);

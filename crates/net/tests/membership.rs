@@ -7,20 +7,10 @@
 
 use std::net::SocketAddr;
 use std::time::Duration;
+use tldag_net::harness::loopback_addrs;
 use tldag_net::runtime::NodeOutcome;
 use tldag_net::{FaultSpec, NetNode, NetNodeConfig, PeerTable};
 use tldag_sim::NodeId;
-
-/// Binds-and-releases `n` loopback UDP ports.
-fn discover_ports(n: usize) -> Vec<SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
 
 fn founder_config(
     id: u32,
@@ -65,7 +55,7 @@ fn silent_peer_is_evicted_and_the_cluster_finishes() {
     // Nodes 0 and 1 expect 9 slots; without eviction they would burn a
     // full slot_timeout per remaining slot. With eviction they cut node 2
     // loose at the first blocked barrier and finish.
-    let addrs = discover_ports(3);
+    let addrs = loopback_addrs(3).expect("loopback probe sockets");
     let mut configs: Vec<NetNodeConfig> = (0..3u32)
         .map(|id| {
             let mut c = founder_config(id, &addrs, 3, 90_701, 9);
@@ -108,7 +98,7 @@ fn dynamic_join_races_slot_boundaries_under_loss() {
     // boundary. PoP lockstep paces the founders, and fixed fault seeds
     // drop a deterministic subset of the handshake/announce datagrams, so
     // the race is exercised reproducibly.
-    let addrs = discover_ports(4);
+    let addrs = loopback_addrs(4).expect("loopback probe sockets");
     let seed = 77_412;
     let slots = 12;
     let mut configs: Vec<NetNodeConfig> = (0..3u32)

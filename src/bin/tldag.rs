@@ -123,11 +123,11 @@ USAGE:
         is a Prometheus-style text exposition (phase-latency histograms,
         transport/PoP counters, storage gauges, roster state), GET
         /journal dumps the node's bounded event journal as JSONL.
-        Pipelining: --window W (PoP mode, W in 1..=32, default 1) lets
-        generation run up to W slots ahead of the cluster's completion
-        low-watermark while a background worker verifies slots in order
-        (horizon-capped child requests keep PoP answers byte-identical
-        to the W=1 lockstep); --batch K sets the socket send/recv batch
+        Pipelining: --window W (W in 1..=32, default 1; W > 1 needs
+        --pop) lets generation run up to W slots ahead of the cluster's
+        completion low-watermark while a background worker verifies
+        slots in order (horizon-capped child requests keep PoP answers
+        byte-identical to the W=1 lockstep); --batch K sets the socket send/recv batch
         (datagrams per sendmmsg/recvmmsg wakeup); --drop P injects a
         deterministic per-datagram drop probability for loss testing.
         --behavior KIND[@SLOT] turns the node into a wire adversary from
@@ -177,7 +177,9 @@ USAGE:
         (digest conflicts, conflict pulls, flap rejections, evictions)
         are printed. A flapper adversary's own chain is expected to fork
         (it goes dark mid-run); pass --evict-after SECS so honest nodes
-        evict it instead of waiting out every barrier.
+        evict it instead of waiting out every barrier. --adversary is
+        refused with --window W > 1: a pipelined node applies PoP bans
+        late (the ban lag), so honest parity would not hold.
 
     tldag status --targets ADDR,ADDR,... [--json] [--timeout SECS]
         Scrape the /metrics endpoint of every listed node of a live

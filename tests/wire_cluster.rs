@@ -85,18 +85,26 @@ fn churn_cluster_with_pop_matches_engine_counters() {
     // Same membership schedule with the verification workload on: the
     // joiner and the survivors all run PoP over the wire, and the
     // attempt/success counters must match the engine exactly (the
-    // candidate enumeration is membership-aware on both sides).
-    let mut config = base_config(4, 10, 7);
-    config.pop = true;
-    config.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert!(!outcome.degraded());
-    assert_eq!(outcome.wire_digest, outcome.reference_digest);
-    assert!(outcome.wire_pop.0 > 0, "the workload must trigger");
-    assert_eq!(
-        outcome.wire_pop, outcome.reference_pop,
-        "wire PoP counters must match the engine's through churn"
-    );
+    // candidate enumeration is membership-aware on both sides). At W = 4
+    // the pipeline must also drain to each membership boundary before
+    // the topology changes under its verify worker.
+    for window in [1, 4] {
+        let mut config = base_config(4, 10, 7);
+        config.pop = true;
+        config.window = window;
+        config.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
+        let outcome = run_cluster(&config).expect("cluster run");
+        assert!(!outcome.degraded(), "W = {window}: no node may degrade");
+        assert_eq!(
+            outcome.wire_digest, outcome.reference_digest,
+            "W = {window}: digest parity through churn"
+        );
+        assert!(outcome.wire_pop.0 > 0, "the workload must trigger");
+        assert_eq!(
+            outcome.wire_pop, outcome.reference_pop,
+            "W = {window}: wire PoP counters must match the engine's through churn"
+        );
+    }
 }
 
 #[test]
@@ -165,4 +173,25 @@ fn disk_backed_cluster_keeps_parity() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pipelined_window_is_refused_with_adversaries_or_without_pop() {
+    // Both fail before any process is spawned (the binary path is never
+    // used). A pipelined node applies PoP bans late, so honest parity
+    // cannot hold under a ban-inducing adversary.
+    let mut config = ClusterConfig::new(PathBuf::from("unused"), 5, 12, 17);
+    config.pop = true;
+    config.window = 4;
+    config.adversaries = tldag::net::parse_adversary_spec("selfish:1", 5).expect("spec");
+    let Err(err) = run_cluster(&config) else {
+        panic!("W > 1 with adversaries")
+    };
+    assert!(err.contains("ban lag"), "{err}");
+    config.adversaries.clear();
+    config.pop = false;
+    let Err(err) = run_cluster(&config) else {
+        panic!("W > 1 without PoP")
+    };
+    assert!(err.contains("--window needs --pop"), "{err}");
 }
